@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FoldPlan, fold_roles
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError, known_keys
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
-from .svm import KernelSpec, SvmModel, svm_predict, svm_train
+from .svm import KERNEL_KINDS, KernelSpec, SvmModel, svm_predict, svm_train
 
 
 @dataclass(frozen=True)
@@ -23,17 +23,22 @@ class EvalConfig:
     c_grid: tuple[float, ...] = (0.1, 1.0, 10.0)
     class_weight_mode: str = "balanced"
     metric: str = "accuracy"
-    seed: int = 0
-    kkt_tol: float = 1e-3
-    max_passes: int = 10
     gamma: float | None = None
     degree: int = 3
     coef0: float = 1.0
     positive_class: int | None = None  # None means the larger label value
 
     def __post_init__(self):
+        if not self.kernels or any(k not in KERNEL_KINDS for k in self.kernels):
+            raise ConfigError(f"kernels must be a non-empty subset of {KERNEL_KINDS}, "
+                              f"got {self.kernels}")
+        if not self.c_grid or any(not c > 0 for c in self.c_grid):
+            raise ConfigError(f"c_grid must hold positive values, got {self.c_grid}")
+        if self.class_weight_mode not in ("balanced", "none"):
+            raise ConfigError(f"class_weight_mode must be 'balanced' or 'none', "
+                              f"got {self.class_weight_mode!r}")
         if self.metric not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {self.metric!r}; known: {METRIC_NAMES}")
+            raise ConfigError(f"unknown metric {self.metric!r}; known: {METRIC_NAMES}")
 
     def kernel_specs(self) -> list[KernelSpec]:
         return [KernelSpec(kind=k, gamma=self.gamma, degree=self.degree, coef0=self.coef0)
@@ -41,14 +46,13 @@ class EvalConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalConfig":
+        known_keys(raw, "kernels c_grid class_weight_mode metric gamma degree coef0 "
+                        "positive_class", "evaluation")
         return cls(
             kernels=tuple(raw.get("kernels", ("linear", "rbf", "poly"))),
             c_grid=tuple(float(c) for c in raw.get("c_grid", (0.1, 1.0, 10.0))),
             class_weight_mode=str(raw.get("class_weight_mode", "balanced")),
             metric=str(raw.get("metric", "accuracy")),
-            seed=int(raw.get("seed", 0)),
-            kkt_tol=float(raw.get("kkt_tol", 1e-3)),
-            max_passes=int(raw.get("max_passes", 10)),
             gamma=raw.get("gamma"),
             degree=int(raw.get("degree", 3)),
             coef0=float(raw.get("coef0", 1.0)),
@@ -59,7 +63,6 @@ class EvalConfig:
         out = {
             "kernels": list(self.kernels), "c_grid": list(self.c_grid),
             "class_weight_mode": self.class_weight_mode, "metric": self.metric,
-            "seed": self.seed, "kkt_tol": self.kkt_tol, "max_passes": self.max_passes,
             "degree": self.degree, "coef0": self.coef0,
         }
         if self.gamma is not None:
@@ -103,8 +106,7 @@ def _fit_best_model(x_train, y_train, x_eval, y_eval, config: EvalConfig,
             model = svm_train(
                 x_train, y_train, kernel=spec, c=c,
                 class_weights=config.class_weight_mode,
-                positive_label=positive, tol=config.kkt_tol,
-                max_passes=config.max_passes, seed=config.seed)
+                positive_label=positive)
             report = compute_metrics(svm_predict(model, x_eval), y_eval, positive)
             score = report.value(config.metric)
             if best is None or score > best[0]:

@@ -15,34 +15,23 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classifier_eval import EvalConfig, pca_baseline
+from .classifier_eval import pca_baseline
 from .dataset import fold_roles, load_dataset, load_manifest, make_folds
-from .errors import ConfigError, LoadError, RunError, ValidationError
+from .errors import ConfigError, RunError, WidefeatError
 from .feature_bank import ExtractionConfig, build_feature_matrix
 from .metrics import METRIC_NAMES
 from .recommender import RecommendConfig, interpret, recommend
+from .svm import KERNEL_KINDS
 
 OUT_ENV_VAR = "WIDEFEAT_OUT"
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunArtifacts:
-    run_id: str
-    out_dir: Path
-    feature_matrix_csv: Path | None = None
-    descriptor_json: Path | None = None
-    recommendation_json: Path | None = None
-    metrics_json: Path | None = None
-    log: Path | None = None
-
-
-def _new_run_dir(base: Path, seed: int) -> tuple[str, Path]:
+def _new_run_dir(base: Path, seed: int) -> Path:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     run_id = f"{stamp}-seed{seed}"
     path = base / run_id
@@ -51,12 +40,15 @@ def _new_run_dir(base: Path, seed: int) -> tuple[str, Path]:
         bump += 1
         path = base / f"{run_id}-{bump}"
     path.mkdir(parents=True)
-    return path.name, path
+    return path
 
 
 def _read_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return raw
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -81,25 +73,25 @@ def _mean_test_metrics(reports) -> dict:
 
 def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
-    config = ExtractionConfig.from_dict(_read_json(args.config)) if args.config \
-        else ExtractionConfig()
+    raw = _read_json(args.config) if args.config else {}
+    try:
+        max_level = int(raw.pop("max_level", 2))
+        config = ExtractionConfig.from_dict(raw)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed extract config: {exc}") from exc
     if args.max_level is not None:
-        config = ExtractionConfig.from_dict({**config.to_dict(), "max_level": args.max_level})
+        max_level = args.max_level
     records = load_dataset(manifest)
-    matrix = build_feature_matrix(records, config, max_level=config.max_level)
+    matrix = build_feature_matrix(records, config, max_level=max_level)
 
-    run_id, run_dir = _new_run_dir(_out_dir(args), args.seed or 0)
-    art = RunArtifacts(run_id=run_id, out_dir=run_dir,
-                       feature_matrix_csv=run_dir / "features.csv",
-                       descriptor_json=run_dir / "descriptors.json",
-                       log=run_dir / "log.txt")
-    matrix.to_csv(art.feature_matrix_csv)
-    matrix.descriptors_to_json(art.descriptor_json)
+    run_dir = _new_run_dir(_out_dir(args), args.seed or 0)
+    matrix.to_csv(run_dir / "features.csv")
+    matrix.descriptors_to_json(run_dir / "descriptors.json")
     counts = matrix.level_counts()
     lines = [f"extracted {matrix.n_features} feature columns from {matrix.n_records} records"]
     for level in sorted(counts):
         lines.append(f"  level {level}: {counts[level]} columns")
-    art.log.write_text("\n".join(lines) + "\n")
+    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"artifacts: {run_dir}")
     return 0
@@ -122,7 +114,10 @@ def _apply_recommend_overrides(raw: dict, args) -> dict:
     if args.metric is not None:
         raw["metric"] = args.metric
     if args.k is not None:
-        raw["k_schedule"] = [int(v) for v in args.k.split(",")]
+        try:
+            raw["k_schedule"] = [int(v) for v in args.k.split(",")]
+        except ValueError:
+            raise ConfigError(f"--k must be comma-separated integers, got {args.k!r}") from None
     if args.max_level is not None:
         raw["max_level_cap"] = args.max_level
     return raw
@@ -139,26 +134,20 @@ def cmd_recommend(args) -> int:
     try:
         rec = recommend(records, config)
     except RunError as exc:
-        run_id, run_dir = _new_run_dir(_out_dir(args), config.seed)
+        run_dir = _new_run_dir(_out_dir(args), config.seed)
         dump = run_dir / "trace_dump.json"
         dump.write_text(json.dumps(
             {"error": str(exc), "trace": [s.to_dict() for s in (exc.trace or [])]}, indent=2))
         print(f"run failed: {exc}; trace dumped to {dump}", file=sys.stderr)
         return 3
 
-    run_id, run_dir = _new_run_dir(_out_dir(args), config.seed)
-    art = RunArtifacts(run_id=run_id, out_dir=run_dir,
-                       feature_matrix_csv=run_dir / "features.csv",
-                       descriptor_json=run_dir / "descriptors.json",
-                       recommendation_json=run_dir / "recommendation.json",
-                       metrics_json=run_dir / "metrics.json",
-                       log=run_dir / "log.txt")
-    rec.matrix.to_csv(art.feature_matrix_csv)
-    rec.matrix.descriptors_to_json(art.descriptor_json)
-    rec.to_json(art.recommendation_json)
+    run_dir = _new_run_dir(_out_dir(args), config.seed)
+    rec.matrix.to_csv(run_dir / "features.csv")
+    rec.matrix.descriptors_to_json(run_dir / "descriptors.json")
+    rec.to_json(run_dir / "recommendation.json")
     report_text = interpret(rec)
     (run_dir / "lineage_report.txt").write_text(report_text + "\n")
-    _write_json(art.metrics_json, {
+    _write_json(run_dir / "metrics.json", {
         "method": "wide",
         "metric": config.metric,
         "seed": config.seed,
@@ -180,7 +169,7 @@ def cmd_recommend(args) -> int:
         lines.append(f"  eval {config.metric} per fold: {evals}")
         lines.append(f"  test {config.metric} per fold: {tests}")
         lines.append(f"  {name} mean test {config.metric}: {fe.mean_test_metric:.6g}")
-    art.log.write_text("\n".join(lines) + "\n")
+    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(report_text)
     print(f"artifacts: {run_dir}")
@@ -197,15 +186,19 @@ def cmd_baseline_pca(args) -> int:
         raw["p"] = args.folds
     config = RecommendConfig.from_dict(raw)
     pca_raw = raw.get("pca", {})
-    grid = [int(n) for n in (args.components.split(",") if args.components
-                             else pca_raw.get("grid", (5, 10, 15)))]
+    try:
+        grid = [int(n) for n in (args.components.split(",") if args.components
+                                 else pca_raw.get("grid", (5, 10, 15)))]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed pca component grid: {exc}") from exc
     kernel = str(pca_raw.get("kernel", "rbf"))
+    if kernel not in KERNEL_KINDS:
+        raise ConfigError(f"pca kernel must be one of {KERNEL_KINDS}, got {kernel!r}")
 
     records = load_dataset(manifest)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
     labels = np.asarray([r.label for r in records])
     plan = make_folds(records, config.p, config.seed)
-    eval_config = EvalConfig.from_dict({**config.evaluation.to_dict(), "metric": config.metric})
 
     min_train = min(fold_roles(plan, f)[0].size for f in range(plan.p))
     cap = min(matrix.n_features, min_train)
@@ -214,7 +207,8 @@ def cmd_baseline_pca(args) -> int:
         n_eff = min(n, cap)
         if any(r["n_components"] == n_eff for r in runs):
             continue
-        outcomes = pca_baseline(matrix, labels, plan, n_eff, eval_config, kernel=kernel)
+        outcomes = pca_baseline(matrix, labels, plan, n_eff, config.evaluation,
+                                kernel=kernel)
         runs.append({
             "n_components": n_eff,
             "kernel": kernel,
@@ -222,10 +216,8 @@ def cmd_baseline_pca(args) -> int:
             "eval_metrics": _mean_eval_metrics(outcomes, config.metric),
         })
 
-    run_id, run_dir = _new_run_dir(_out_dir(args), config.seed)
-    art = RunArtifacts(run_id=run_id, out_dir=run_dir,
-                       metrics_json=run_dir / "metrics.json", log=run_dir / "log.txt")
-    _write_json(art.metrics_json, {
+    run_dir = _new_run_dir(_out_dir(args), config.seed)
+    _write_json(run_dir / "metrics.json", {
         "method": "pca",
         "metric": config.metric,
         "seed": config.seed,
@@ -235,7 +227,7 @@ def cmd_baseline_pca(args) -> int:
     for r in runs:
         lines.append(f"pca n={r['n_components']} kernel={kernel} "
                      f"test {config.metric}: {r['metrics'][config.metric]:.6g}")
-    art.log.write_text("\n".join(lines) + "\n")
+    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"artifacts: {run_dir}")
     return 0
@@ -343,13 +335,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ConfigError, LoadError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RunError as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 3
+    except (WidefeatError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

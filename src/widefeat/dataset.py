@@ -9,6 +9,7 @@ whose samples are rescaled to [-1, 1].
 from __future__ import annotations
 
 import json
+import sys
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,10 @@ import numpy as np
 from .errors import ConfigError, LoadError, ValidationError
 
 MIN_SAMPLES = 16
+# Feature statistics sum fourth powers of deviations over a record.  Second
+# differences reach 4x the peak sample and their deviations from the mean 8x,
+# so n * (8 * peak)^4 must stay below the float64 maximum.
+_STAT_GAIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,11 @@ class SignalRecord:
                 f"record {self.id!r}: needs >= {MIN_SAMPLES} samples, got {samples.size}")
         if not np.isfinite(samples).all():
             raise ValidationError(f"record {self.id!r}: samples contain NaN or Inf")
+        limit = (sys.float_info.max / samples.size) ** 0.25 / _STAT_GAIN
+        if np.max(np.abs(samples)) > limit:
+            raise ValidationError(
+                f"record {self.id!r}: samples above {limit:.3g} in magnitude overflow "
+                f"the feature statistics; rescale upstream")
         if not self.sample_rate_hz > 0:
             raise ValidationError(
                 f"record {self.id!r}: sample rate must be positive, got {self.sample_rate_hz}")
@@ -65,8 +75,10 @@ class DatasetManifest:
         if self.format == "csv_column" and not (self.sample_rate_hz and self.sample_rate_hz > 0):
             raise ValidationError("csv_column manifests require a positive sample_rate_hz")
         labels = {e.label for e in self.records}
-        if len(labels) < 2:
-            raise ValidationError(f"manifest needs >= 2 distinct labels, found {sorted(labels)}")
+        if len(labels) != 2:
+            raise ValidationError(
+                f"classification is binary only: the manifest needs exactly 2 distinct "
+                f"labels, found {sorted(labels)}")
         for e in self.records:
             if not 0 <= e.label < len(self.class_names):
                 raise ValidationError(

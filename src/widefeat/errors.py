@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config key check."""
 
 
 class WidefeatError(Exception):
@@ -31,3 +31,11 @@ class RunError(WidefeatError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def known_keys(raw: dict, names: str, where: str) -> dict:
+    """Return config block ``raw`` after checking it sets only the space-separated ``names``."""
+    unknown = sorted(set(raw) - set(names.split()))
+    if unknown:
+        raise ConfigError(f"unknown {where} setting(s) {unknown}; known: {names.split()}")
+    return raw

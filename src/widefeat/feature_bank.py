@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import ConfigError, DegenerateSignalError, ValidationError
+from .errors import ConfigError, DegenerateSignalError, ValidationError, known_keys
 from .stft import rfft_bin_frequencies, stft
 from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, filter_length,
                        select_mother_wavelet)
@@ -116,18 +116,30 @@ class FeatureMatrix:
 class ExtractionConfig:
     stft_window: int = 256
     stft_hop: int = 128
-    wavelet_bank: tuple[str, ...] = WAVELET_BANK
+    wavelet_bank: tuple[str, ...] = WAVELET_BANK  # a one-entry bank pins the wavelet
     dwt_depth: int = 4
     peak_prominence_frac: float = 0.1
     peak_min_separation_frac: float = 0.05
-    max_level: int = 2
-    wavelet: str | None = None  # pinned mother wavelet; None selects automatically
+
+    def __post_init__(self):
+        if self.stft_window < 2 or self.stft_window & (self.stft_window - 1):
+            raise ConfigError(f"stft window must be a power of two, got {self.stft_window}")
+        if self.stft_hop < 1:
+            raise ConfigError(f"stft hop must be >= 1, got {self.stft_hop}")
+        if not self.wavelet_bank or self.dwt_depth < 1:
+            raise ConfigError("dwt needs a non-empty wavelet bank and a depth >= 1")
+        for name in self.wavelet_bank:
+            try:
+                filter_length(name)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExtractionConfig":
-        stft_cfg = raw.get("stft", {})
-        dwt_cfg = raw.get("dwt", {})
-        peaks = raw.get("peaks", {})
+        known_keys(raw, "stft dwt peaks", "extraction")
+        stft_cfg = known_keys(raw.get("stft", {}), "window hop", "stft")
+        dwt_cfg = known_keys(raw.get("dwt", {}), "bank depth", "dwt")
+        peaks = known_keys(raw.get("peaks", {}), "prominence_frac min_separation_frac", "peaks")
         return cls(
             stft_window=int(stft_cfg.get("window", 256)),
             stft_hop=int(stft_cfg.get("hop", 128)),
@@ -135,21 +147,15 @@ class ExtractionConfig:
             dwt_depth=int(dwt_cfg.get("depth", 4)),
             peak_prominence_frac=float(peaks.get("prominence_frac", 0.1)),
             peak_min_separation_frac=float(peaks.get("min_separation_frac", 0.05)),
-            max_level=int(raw.get("max_level", 2)),
-            wavelet=dwt_cfg.get("wavelet"),
         )
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "stft": {"window": self.stft_window, "hop": self.stft_hop},
             "dwt": {"bank": list(self.wavelet_bank), "depth": self.dwt_depth},
             "peaks": {"prominence_frac": self.peak_prominence_frac,
                       "min_separation_frac": self.peak_min_separation_frac},
-            "max_level": self.max_level,
         }
-        if self.wavelet is not None:
-            out["dwt"]["wavelet"] = self.wavelet
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +340,6 @@ class RecordFragment:
         return self._by_key[(source, stat)]
 
 
-def _effective_wavelet_and_depth(samples: np.ndarray, config: ExtractionConfig) -> tuple[str, int]:
-    usable = [w for w in config.wavelet_bank if dwt_max_depth(samples.size, w) >= 1]
-    if config.wavelet is not None:
-        name = config.wavelet
-        filter_length(name)
-    elif not usable:
-        raise ConfigError(
-            f"no wavelet in bank {config.wavelet_bank} fits a {samples.size}-sample record")
-    elif len(usable) == 1:
-        name = usable[0]
-    else:
-        try:
-            name = select_mother_wavelet(
-                samples, usable,
-                depth=min(config.dwt_depth, min(dwt_max_depth(samples.size, w) for w in usable)),
-            ).wavelet_name
-        except DegenerateSignalError:
-            name = usable[0]  # constant-like signal: any wavelet gives all-zero details
-    depth = min(config.dwt_depth, dwt_max_depth(samples.size, name))
-    if depth < 1:
-        raise ConfigError(
-            f"records of {samples.size} samples are too short for wavelet {name!r}")
-    return name, depth
-
-
 def band_names(depth: int) -> list[str]:
     return [f"approx{depth}"] + [f"detail{lev}" for lev in range(depth, 0, -1)]
 
@@ -367,7 +348,7 @@ def extract_level0(record, config: ExtractionConfig) -> RecordFragment:
     """Compute the level-0 representations and their scalar summaries."""
     x = np.asarray(record.samples, dtype=float)
     rate = float(record.sample_rate_hz)
-    wavelet, depth = _effective_wavelet_and_depth(x, config)
+    wavelet, depth = choose_dataset_wavelet([record], config)
 
     window = config.stft_window
     hop = config.stft_hop
@@ -465,10 +446,7 @@ def choose_dataset_wavelet(records, config: ExtractionConfig) -> tuple[str, int]
     usable = [w for w in config.wavelet_bank if dwt_max_depth(min_len, w) >= 1]
     if not usable:
         raise ConfigError(f"no wavelet in bank {config.wavelet_bank} fits {min_len}-sample records")
-    if config.wavelet is not None:
-        name = config.wavelet
-        filter_length(name)
-    elif len(usable) == 1:
+    if len(usable) == 1:
         name = usable[0]
     else:
         vote_depth = min(config.dwt_depth, min(dwt_max_depth(min_len, w) for w in usable))
@@ -502,7 +480,7 @@ def build_feature_matrix(records, config: ExtractionConfig, max_level: int) -> F
     if len(rates) != 1:
         raise ConfigError(f"records mix sample rates {sorted(rates)}; resample upstream")
     wavelet, depth = choose_dataset_wavelet(records, config)
-    pinned = replace(config, wavelet=wavelet, dwt_depth=depth)
+    pinned = replace(config, wavelet_bank=(wavelet,), dwt_depth=depth)
 
     rows = []
     descriptors: tuple[FeatureDescriptor, ...] | None = None

@@ -17,12 +17,12 @@ import numpy as np
 
 from .classifier_eval import EvalConfig, evaluate_feature_set
 from .dataset import FoldPlan, fold_roles, make_folds
-from .errors import ConfigError, RunError
+from .errors import ConfigError, RunError, ValidationError, known_keys
 from .feature_bank import (ExtractionConfig, FeatureDescriptor, FeatureMatrix,
                            build_feature_matrix, describe)
 from .metrics import METRIC_NAMES, MetricReport
-from .selector import (RelevanceCache, SelectionResult, SelectorConfig, mrmr_select,
-                       mrms_select, union_recommend)
+from .selector import (SelectionResult, SelectorConfig, mrmr_select, mrms_select,
+                       union_recommend)
 
 TRACE_NOTE = ("each round reselects k features per fold and advances k through the "
               "schedule, escalating to the next feature level when no candidate "
@@ -60,27 +60,40 @@ class RecommendConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RecommendConfig":
-        return cls(
-            tau=float(raw.get("tau", 0.85)),
-            metric=str(raw.get("metric", "accuracy")),
-            k_schedule=tuple(int(k) for k in raw.get("k_schedule", (5, 10, 15, 20))),
-            c=int(raw.get("c", 10)),
-            p=int(raw.get("p", 5)),
-            seed=int(raw["seed"]) if "seed" in raw else 0,
-            max_level_cap=int(raw.get("max_level_cap", 2)),
-            selector=SelectorConfig.from_dict(raw.get("selector", {})),
-            extraction=ExtractionConfig.from_dict(raw.get("extraction", {})),
-            evaluation=EvalConfig.from_dict(raw.get("evaluation", {})),
-        )
+        try:
+            # "pca" belongs to baseline-pca, which reads the same file
+            known_keys(raw, "tau metric k_schedule c p seed max_level_cap selector extraction "
+                            "evaluation pca", "recommend")
+            metric = str(raw.get("metric", "accuracy"))
+            evaluation = dict(raw.get("evaluation", {}))
+            if evaluation.setdefault("metric", metric) != metric:
+                raise ConfigError(f"evaluation.metric {evaluation['metric']!r} disagrees with "
+                                  f"metric {metric!r}; set the metric once, at the top level")
+            return cls(
+                tau=float(raw.get("tau", 0.85)),
+                metric=metric,
+                k_schedule=tuple(int(k) for k in raw.get("k_schedule", (5, 10, 15, 20))),
+                c=int(raw.get("c", 10)),
+                p=int(raw.get("p", 5)),
+                seed=int(raw.get("seed", 0)),
+                max_level_cap=int(raw.get("max_level_cap", 2)),
+                selector=SelectorConfig.from_dict(raw.get("selector", {})),
+                extraction=ExtractionConfig.from_dict(raw.get("extraction", {})),
+                evaluation=EvalConfig.from_dict(evaluation),
+            )
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed recommend config: {exc}") from exc
 
     def to_dict(self) -> dict:
+        evaluation = self.evaluation.to_dict()
+        del evaluation["metric"]  # the top-level metric is the one setting
         return {
             "tau": self.tau, "metric": self.metric,
             "k_schedule": list(self.k_schedule), "c": self.c, "p": self.p,
             "seed": self.seed, "max_level_cap": self.max_level_cap,
             "selector": self.selector.to_dict(),
             "extraction": self.extraction.to_dict(),
-            "evaluation": self.evaluation.to_dict(),
+            "evaluation": evaluation,
         }
 
 
@@ -256,8 +269,10 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
     """
     records = list(records)
     labels = np.asarray([r.label for r in records])
+    classes = sorted({int(r.label) for r in records})
+    if len(classes) != 2:
+        raise ValidationError(f"recommend needs binary labels, found classes {classes}")
     plan = make_folds(records, config.p, config.seed)
-    eval_config = replace(config.evaluation, metric=config.metric)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
 
     trace: list[TraceStep] = []
@@ -278,9 +293,7 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
                 rows = np.sort(np.concatenate([train_idx, eval_idx]))
                 sub = level_values[rows]
                 sub_labels = labels[rows]
-                cache = RelevanceCache.build(sub, sub_labels)
-                x = mrmr_select(sub, sub_labels, k, config.selector.mrmr_objective,
-                                cache=cache)
+                x = mrmr_select(sub, sub_labels, k, config.selector.mrmr_objective)
                 y = mrms_select(sub, sub_labels, k, config.selector.mrms_beta)
                 selections.append(FoldSelection(
                     fold=fold, mrmr=x, mrms=y, union=union_recommend(x, y, k)))
@@ -296,7 +309,8 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
                     by_set[key] = cand
                     candidates.append(cand)
             for cand in candidates:
-                _, metrics = _fold_eval_metrics(matrix, labels, cand.ids, plan, eval_config)
+                _, metrics = _fold_eval_metrics(matrix, labels, cand.ids, plan,
+                                                config.evaluation)
                 cand.eval_metrics = metrics
                 cand.passed = all(v is not None and v >= config.tau for v in metrics)
 
@@ -339,14 +353,15 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
     refined = None
     if config.c > 0:
         if len(fe2.ids) <= config.c:
-            refined = exhaustive_refine(matrix, labels, plan, fe2.ids, config.c, eval_config)
+            refined = exhaustive_refine(matrix, labels, plan, fe2.ids, config.c,
+                                        config.evaluation)
         else:
             refined = RefinementResult(
                 base_ids=fe2.ids, chosen_ids=fe2.ids, evaluations=[], skipped=True,
                 note=f"skipped: |Fe2|={len(fe2.ids)} exceeds c={config.c}")
 
     for fe in (fe1, fe2):
-        outcomes, _ = _fold_eval_metrics(matrix, labels, fe.ids, plan, eval_config,
+        outcomes, _ = _fold_eval_metrics(matrix, labels, fe.ids, plan, config.evaluation,
                                          mutator=test_row_mutator, include_test=True)
         fe.test_reports = [o.test_report for o in outcomes]
         vals = [r.value(config.metric) for r in fe.test_reports if r is not None]

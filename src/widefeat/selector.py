@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, known_keys
+
 F_SENTINEL = 1e12
 _MIQ_EPS = 1e-12
 
@@ -58,42 +60,31 @@ def pearson_abs(a, b) -> float:
     return float(min(1.0, abs(np.dot(da, db)) / denom))
 
 
-def _abs_corr_matrix_column(values: np.ndarray, j: int) -> np.ndarray:
-    """|Pearson| of column ``j`` against every column, constant columns scoring 0."""
-    centered = values - values.mean(axis=0)
-    norms = np.sqrt(np.sum(centered * centered, axis=0))
-    cj = centered[:, j]
-    out = np.zeros(values.shape[1])
-    ok = (norms > 0.0) & (norms[j] > 0.0)
-    if norms[j] > 0.0:
-        out[ok] = np.abs(centered[:, ok].T @ cj) / (norms[ok] * norms[j])
-    return np.minimum(out, 1.0)
-
-
 @dataclass
 class RelevanceCache:
-    """Per-feature relevance scores plus lazily-filled pairwise correlations."""
+    """Per-feature F-statistics plus the centered columns for |Pearson| lookups."""
 
     f_stats: np.ndarray
-    dependency: np.ndarray | None = None
-    correlations: dict[tuple[int, int], float] = field(default_factory=dict)
-    _values: np.ndarray | None = field(default=None, repr=False)
+    _centered: np.ndarray = field(repr=False)
+    _norms: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, values: np.ndarray, labels, with_dependency: bool = False) -> "RelevanceCache":
+    def build(cls, values: np.ndarray, labels) -> "RelevanceCache":
         f_stats = np.asarray([f_statistic(values[:, j], labels)
                               for j in range(values.shape[1])])
-        dependency = None
-        if with_dependency:
-            dependency = np.asarray([fuzzy_dependency(values[:, [j]], labels)
-                                     for j in range(values.shape[1])])
-        return cls(f_stats=f_stats, dependency=dependency, _values=values)
+        centered = values - values.mean(axis=0)
+        norms = np.sqrt(np.sum(centered * centered, axis=0))
+        return cls(f_stats=f_stats, _centered=centered, _norms=norms)
 
     def correlations_with(self, j: int) -> np.ndarray:
-        col = _abs_corr_matrix_column(self._values, j)
-        for i, v in enumerate(col):
-            self.correlations[(min(i, j), max(i, j))] = float(v)
-        return col
+        """|Pearson| of column ``j`` against every column, constant columns scoring 0."""
+        norms = self._norms
+        out = np.zeros(norms.size)
+        if norms[j] > 0.0:
+            ok = norms > 0.0
+            out[ok] = (np.abs(self._centered[:, ok].T @ self._centered[:, j])
+                       / (norms[ok] * norms[j]))
+        return np.minimum(out, 1.0)
 
 
 @dataclass(frozen=True)
@@ -139,8 +130,7 @@ def _greedy_argmax(scores: np.ndarray, available: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def mrmr_select(values, labels, k: int, objective: str = "MID",
-                cache: RelevanceCache | None = None) -> SelectionResult:
+def mrmr_select(values, labels, k: int, objective: str = "MID") -> SelectionResult:
     """Greedy mRMR over the columns of ``values`` (records x features)."""
     values = np.asarray(getattr(values, "values", values), dtype=float)
     n_features = values.shape[1]
@@ -149,8 +139,7 @@ def mrmr_select(values, labels, k: int, objective: str = "MID",
         raise ValueError(f"objective must be MID or MIQ, got {objective!r}")
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} out of range for {n_features} features")
-    if cache is None:
-        cache = RelevanceCache.build(values, labels)
+    cache = RelevanceCache.build(values, labels)
     v = cache.f_stats
     available = np.ones(n_features, dtype=bool)
     corr_sum = np.zeros(n_features)
@@ -221,8 +210,7 @@ def fuzzy_dependency(columns, labels) -> float:
     return _dependency_from_similarity(sim, labels)
 
 
-def mrms_select(values, labels, k: int, beta: float = 0.5,
-                cache: RelevanceCache | None = None) -> SelectionResult:
+def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
     """Greedy MRMS: maximize J = J_rel + beta * J_sig.
 
     J_rel(f) is the single-feature fuzzy dependency; J_sig(f | S) is the mean
@@ -238,8 +226,6 @@ def mrms_select(values, labels, k: int, beta: float = 0.5,
     norm = _minmax_normalize(values)
     sims = [_similarity_matrix(norm[:, j]) for j in range(n_features)]
     singles = np.asarray([_dependency_from_similarity(s, labels) for s in sims])
-    if cache is not None:
-        cache.dependency = singles
 
     available = np.ones(n_features, dtype=bool)
     gain_sum = np.zeros(n_features)
@@ -288,12 +274,19 @@ class SelectorConfig:
     mrmr_objective: str = "MID"
     mrms_beta: float = 0.5
 
+    def __post_init__(self):
+        if self.mrmr_objective not in ("MID", "MIQ"):
+            raise ConfigError(f"mrmr objective must be MID or MIQ, got {self.mrmr_objective!r}")
+        if not self.mrms_beta >= 0:
+            raise ConfigError(f"mrms beta must be >= 0, got {self.mrms_beta}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "SelectorConfig":
-        return cls(
-            mrmr_objective=str(raw.get("mrmr", {}).get("objective", "MID")).upper(),
-            mrms_beta=float(raw.get("mrms", {}).get("beta", 0.5)),
-        )
+        known_keys(raw, "mrmr mrms", "selector")
+        mrmr = known_keys(raw.get("mrmr", {}), "objective", "selector.mrmr")
+        mrms = known_keys(raw.get("mrms", {}), "beta", "selector.mrms")
+        return cls(mrmr_objective=str(mrmr.get("objective", "MID")).upper(),
+                   mrms_beta=float(mrms.get("beta", 0.5)))
 
     def to_dict(self) -> dict:
         return {"mrmr": {"objective": self.mrmr_objective},

@@ -94,7 +94,7 @@ class TestEvaluateFeatureSet:
     def test_determinism(self):
         values, labels = planted_matrix(seed=9)
         plan = make_folds(records_for(labels), p=5, seed=6)
-        config = EvalConfig(seed=11)
+        config = EvalConfig()
         a = evaluate_feature_set(values, labels, (0, 2), plan, config)
         b = evaluate_feature_set(values, labels, (0, 2), plan, config)
         assert [o.to_dict() for o in a] == [o.to_dict() for o in b]

@@ -1,10 +1,13 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from conftest import sine_records, write_csv_dataset
+from widefeat import cli, recommender
 from widefeat.cli import main
+from widefeat.dataset import SignalRecord
 from widefeat.metrics import METRIC_NAMES
 
 
@@ -135,6 +138,62 @@ class TestRecommend:
         assert payload["config"]["seed"] == 9
         assert payload["config"]["max_level_cap"] == 0
         assert payload["config"]["k_schedule"] == [5]
+
+
+class TestRejectBeforeCompute:
+    @pytest.fixture
+    def no_extraction(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_feature_matrix must not run")
+
+        monkeypatch.setattr(recommender, "build_feature_matrix", fail)
+        monkeypatch.setattr(cli, "build_feature_matrix", fail)
+
+    def test_three_class_manifest_exits_2(self, tmp_path, no_extraction, capsys):
+        records = [SignalRecord(id=f"r{i}", samples=np.sin(np.arange(64) * (i % 3 + 1)),
+                                sample_rate_hz=100.0, label=i % 3) for i in range(45)]
+        manifest = write_csv_dataset(tmp_path, records, rate=100.0,
+                                     class_names=("a", "b", "c"))
+        assert run_cli("recommend", manifest, "--seed", 1, "--out", tmp_path / "runs") == 2
+        assert "binary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"evaluation": {"kernels": ["sigmoid"]}},
+        {"evaluation": {"class_weight_mode": "foo"}},
+        {"selector": {"mrmr": {"objective": "XYZ"}}},
+        {"selector": {"mrms": {"beta": -1}}},
+    ])
+    def test_bad_config_value_exits_2(self, planted_manifest, tmp_path, no_extraction,
+                                      override):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**FAST_RECOMMEND, **override}))
+        assert run_cli("recommend", planted_manifest, "--config", config,
+                       "--out", tmp_path / "runs") == 2
+
+    def test_bad_k_flag_exits_2(self, planted_manifest, tmp_path, no_extraction, capsys):
+        assert run_cli("recommend", planted_manifest, "--seed", 1, "--k", "5,x",
+                       "--out", tmp_path / "runs") == 2
+        assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text, flags", [
+        ("[1, 2]", []),
+        (json.dumps({**FAST_RECOMMEND, "pca": {"kernel": "sigmoid"}}), []),
+        (json.dumps(FAST_RECOMMEND), ["--components", "5,x"]),
+    ])
+    def test_bad_pca_input_exits_2(self, planted_manifest, tmp_path, no_extraction,
+                                   config_text, flags):
+        config = tmp_path / "cfg.json"
+        config.write_text(config_text)
+        assert run_cli("baseline-pca", planted_manifest, "--config", config, *flags,
+                       "--out", tmp_path / "runs") == 2
+
+    def test_internal_value_error_propagates(self, planted_manifest, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "recommend", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli("recommend", planted_manifest, "--seed", 1, "--out", tmp_path / "runs")
 
 
 class TestBaselinePca:

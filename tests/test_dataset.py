@@ -7,6 +7,7 @@ from conftest import write_csv_dataset, write_wav
 from widefeat.dataset import (SignalRecord, fold_roles, load_dataset,
                               load_manifest, make_folds)
 from widefeat.errors import ConfigError, LoadError, ValidationError
+from widefeat.feature_bank import ExtractionConfig, build_feature_matrix
 
 
 def _manifest(tmp_path, records, fmt="csv_column", rate=100.0, class_names=("a", "b")):
@@ -142,6 +143,29 @@ class TestLoadDataset:
     def test_nan_samples_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
             SignalRecord(id="n", samples=np.full(16, np.nan), sample_rate_hz=1.0, label=0)
+
+    @staticmethod
+    def _peak_scaled(peak):
+        x = np.random.default_rng(0).standard_normal(512)
+        return x / np.max(np.abs(x)) * peak
+
+    @pytest.mark.parametrize("peak", [1e78, 1e150, 1e200])
+    def test_overflowing_magnitudes_rejected(self, peak):
+        with pytest.raises(ValidationError, match="overflow"):
+            SignalRecord(id="big", samples=self._peak_scaled(peak), sample_rate_hz=100.0,
+                         label=0)
+
+    def test_large_but_representable_magnitude_extracts(self):
+        x = self._peak_scaled(1e75)
+        record = SignalRecord(id="big", samples=x, sample_rate_hz=100.0, label=0)
+        matrix = build_feature_matrix([record], ExtractionConfig(), max_level=2)
+        assert np.isfinite(matrix.values).all()
+
+    def test_three_class_manifest_rejected_as_not_binary(self, tmp_path):
+        records = [SignalRecord(id=f"r{i}", samples=np.arange(16.0) + i, sample_rate_hz=10.0,
+                                label=i % 3) for i in range(6)]
+        with pytest.raises(ValidationError, match="binary"):
+            _manifest(tmp_path, records, class_names=("a", "b", "c"))
 
 
 def _records(labels):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from widefeat.dataset import SignalRecord
+from widefeat.dataset import MIN_SAMPLES, SignalRecord
 from widefeat.errors import ConfigError
-from widefeat.feature_bank import (ExtractionConfig, build_feature_matrix, describe,
-                                   extract_level0, extract_level1, extract_level2,
-                                   parse_lineage_path)
+from widefeat.feature_bank import (ExtractionConfig, build_feature_matrix,
+                                   choose_dataset_wavelet, describe, extract_level0,
+                                   extract_level1, extract_level2, parse_lineage_path)
+from widefeat.wavelets import WAVELET_BANK
 
 
 def record_from(samples, rate=100.0, label=0, rid="r"):
@@ -45,6 +46,29 @@ class TestLevel0:
         rel = [v for d, v in zip(frag.descriptors, frag.values)
                if d.lineage[-1] == "relative_energy"]
         assert abs(sum(rel) - 1.0) < 1e-9
+
+
+    @pytest.mark.parametrize("kind", ["random", "constant", "shortest"])
+    def test_standalone_level0_matches_matrix_row(self, kind):
+        samples = {"random": np.random.default_rng(5).standard_normal(300),
+                   "constant": np.full(128, 2.5),
+                   "shortest": np.random.default_rng(6).standard_normal(MIN_SAMPLES)}[kind]
+        record = record_from(samples)
+        frag = extract_level0(record, ExtractionConfig())
+        matrix = build_feature_matrix([record], ExtractionConfig(), max_level=0)
+        assert tuple(frag.descriptors) == matrix.descriptors
+        np.testing.assert_array_equal(frag.values, matrix.values[0])
+
+    def test_one_entry_bank_pins_wavelet(self):
+        rng = np.random.default_rng(8)
+        records = [record_from(rng.standard_normal(256), rid=f"r{i}", label=i % 2)
+                   for i in range(4)]
+        voted, _ = choose_dataset_wavelet(records, ExtractionConfig())
+        pinned = next(w for w in WAVELET_BANK if w != voted)
+        matrix = build_feature_matrix(records, ExtractionConfig(wavelet_bank=(pinned,)),
+                                      max_level=0)
+        roots = {d.transform_root for d in matrix.descriptors}
+        assert roots == {"time", "stft", f"dwt({pinned})"}
 
 
 class TestLevel1:

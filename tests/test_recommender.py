@@ -5,7 +5,7 @@ import widefeat.recommender as recommender_module
 from conftest import amplitude_shape_records, sine_records
 from widefeat.classifier_eval import EvalConfig, FoldOutcome
 from widefeat.dataset import make_folds, SignalRecord
-from widefeat.errors import ConfigError, RunError
+from widefeat.errors import ConfigError, RunError, ValidationError
 from widefeat.feature_bank import parse_lineage_path
 from widefeat.recommender import (RecommendConfig, exhaustive_refine, interpret,
                                   recommend)
@@ -46,6 +46,59 @@ class TestConfig:
         config = fast_config()
         again = RecommendConfig.from_dict(config.to_dict())
         assert again.to_dict() == config.to_dict()
+
+    def test_to_dict_carries_each_setting_once(self):
+        config = fast_config(evaluation=EvalConfig(gamma=0.5, positive_class=1))
+
+        def leaves(node, prefix=()):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, prefix + (key,))
+                else:
+                    yield prefix + (key,)
+
+        paths = list(leaves(config.to_dict()))
+        names = [path[-1] for path in paths]
+        assert len(names) == len(set(names)) == 22
+        assert ("metric",) in paths and ("seed",) in paths
+
+    def test_evaluation_metric_must_agree(self):
+        agreeing = RecommendConfig.from_dict(
+            {"metric": "f_score", "evaluation": {"metric": "f_score"}})
+        assert agreeing.evaluation.metric == "f_score"
+        assert RecommendConfig.from_dict({"metric": "f_score"}).evaluation.metric == "f_score"
+        with pytest.raises(ConfigError, match="evaluation.metric"):
+            RecommendConfig.from_dict({"metric": "f_score", "evaluation": {"metric": "accuracy"}})
+
+    @pytest.mark.parametrize("raw", [
+        {"evaluation": {"kernels": ["sigmoid"]}},
+        {"evaluation": {"class_weight_mode": "foo"}},
+        {"evaluation": {"c_grid": [0.0]}},
+        {"selector": {"mrmr": {"objective": "XYZ"}}},
+        {"selector": {"mrms": {"beta": -1}}},
+        {"extraction": {"dwt": {"bank": ["nope"]}}},
+        {"extraction": {"stft": {"window": 100}}},
+        {"tau": "high"},
+        {"k_schedule": 5},
+        {"extraction": {"dwt": {"wavelet": "db4"}}},
+        {"extraction": {"max_level": 1}},
+        {"evaluation": {"seed": 11, "kkt_tol": 1e-3, "max_passes": 10}},
+        {"selector": {"mrmr": {"objectve": "MIQ"}}},
+        {"metrics": "f_score"},
+    ])
+    def test_bad_values_raise_config_error(self, raw):
+        with pytest.raises(ConfigError):
+            RecommendConfig.from_dict(raw)
+
+    def test_non_binary_labels_rejected_before_extraction(self, monkeypatch):
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("build_feature_matrix must not run")
+
+        monkeypatch.setattr(recommender_module, "build_feature_matrix", no_extraction)
+        records = [SignalRecord(id=f"r{i}", samples=np.sin(np.arange(64) * (i % 3 + 1)),
+                                sample_rate_hz=100.0, label=i % 3) for i in range(45)]
+        with pytest.raises(ValidationError, match="binary"):
+            recommend(records, fast_config(k_schedule=(5,)))
 
 
 class TestLevelGating:

@@ -264,14 +264,14 @@ class TestPlantedRecovery:
         assert mrms_select(values, labels, 3).ranked_ids[0] == 17
 
 
-def test_relevance_cache_contents():
+def test_relevance_cache_correlations_match_pearson():
     rng = np.random.default_rng(11)
     labels = np.array([0, 1] * 6)
-    values = rng.standard_normal((12, 4))
-    cache = RelevanceCache.build(values, labels, with_dependency=True)
+    values = rng.standard_normal((12, 5))
+    values[:, 3] = 4.2  # constant column scores 0 against everything
+    cache = RelevanceCache.build(values, labels)
     assert np.all(cache.f_stats >= 0) and np.all(np.isfinite(cache.f_stats))
-    assert np.all((cache.dependency >= 0) & (cache.dependency <= 1))
-    col = cache.correlations_with(2)
-    assert np.all((col >= 0) & (col <= 1))
-    assert cache.correlations[(1, 2)] == pytest.approx(
-        pearson_abs(values[:, 1], values[:, 2]))
+    for j in range(values.shape[1]):
+        col = cache.correlations_with(j)
+        expected = [pearson_abs(values[:, i], values[:, j]) for i in range(values.shape[1])]
+        np.testing.assert_allclose(col, expected, rtol=1e-12, atol=1e-15)
