@@ -250,11 +250,10 @@ def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
     for mask in range(1, 1 << len(base)):
         ids = tuple(base[i] for i in range(len(base)) if mask >> i & 1)
         _, metrics = _fold_eval_metrics(matrix, labels, ids, plan, eval_config)
-        vals = [v for v in metrics if v is not None]
-        min_m = min(vals) if vals and len(vals) == len(metrics) else -1.0
-        mean_m = float(np.mean(vals)) if vals else -1.0
-        evaluations.append({"ids": list(ids), "min_metric": min_m, "mean_metric": mean_m})
-        ranked.append(((-min_m, -mean_m, len(ids), ids), ids))
+        cand = CandidateEval(ids=ids, source_folds=[], eval_metrics=metrics)
+        evaluations.append({"ids": list(ids), "min_metric": cand.min_eval,
+                            "mean_metric": cand.mean_eval})
+        ranked.append(((-cand.min_eval, -cand.mean_eval, len(ids), ids), ids))
     ranked.sort(key=lambda item: item[0])
     return RefinementResult(base_ids=base, chosen_ids=ranked[0][1], evaluations=evaluations)
 

@@ -21,31 +21,40 @@ F_SENTINEL = 1e12
 _MIQ_EPS = 1e-12
 
 
-def f_statistic(column, labels) -> float:
-    """One-way ANOVA F of a feature column against class labels.
+def f_statistic(values, labels):
+    """One-way ANOVA F of feature columns against class labels.
 
-    Zero between-group and within-group variance gives 0; zero within-group
-    variance with distinct group means gives the large sentinel 1e12.
+    ``values`` is one column (returns a float) or a records x features matrix
+    (returns one F per column).  Zero between-group and within-group
+    variance gives 0; zero within-group variance with distinct group means
+    gives the large sentinel 1e12.
     """
-    x = np.asarray(column, dtype=float)
+    x = np.asarray(values, dtype=float)
     y = np.asarray(labels)
+    if y.size != x.shape[0]:
+        raise ValueError(f"{x.shape[0]} records but {y.size} labels")
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("F-statistic needs at least two classes")
-    grand = x.mean()
-    ssb = 0.0
-    ssw = 0.0
+    # one contiguous row per column: a column's sums come out bit for bit the
+    # same whether it is passed alone or inside a matrix
+    rows = np.ascontiguousarray(x.reshape(x.shape[0], -1).T)
+    grand = rows.mean(axis=1)
+    ssb = np.zeros(rows.shape[0])
+    ssw = np.zeros(rows.shape[0])
     for cls in classes:
-        vals = x[y == cls]
-        if vals.size < 2:
+        vals = rows.compress(y == cls, axis=1)
+        if vals.shape[1] < 2:
             raise ValueError(f"class {cls} has fewer than two members")
-        ssb += vals.size * (vals.mean() - grand) ** 2
-        ssw += float(np.sum((vals - vals.mean()) ** 2))
-    if ssw == 0.0:
-        return 0.0 if ssb == 0.0 else F_SENTINEL
+        mean = vals.mean(axis=1)
+        ssb += vals.shape[1] * (mean - grand) ** 2
+        ssw += np.sum((vals - mean[:, None]) ** 2, axis=1)
     df_between = classes.size - 1
-    df_within = x.size - classes.size
-    return (ssb / df_between) / (ssw / df_within)
+    df_within = y.size - classes.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (ssb / df_between) / (ssw / df_within)
+    f = np.where(ssw == 0.0, np.where(ssb == 0.0, 0.0, F_SENTINEL), f)
+    return float(f[0]) if x.ndim == 1 else f
 
 
 def pearson_abs(a, b) -> float:
@@ -70,8 +79,7 @@ class RelevanceCache:
 
     @classmethod
     def build(cls, values: np.ndarray, labels) -> "RelevanceCache":
-        f_stats = np.asarray([f_statistic(values[:, j], labels)
-                              for j in range(values.shape[1])])
+        f_stats = f_statistic(values, labels)
         centered = values - values.mean(axis=0)
         norms = np.sqrt(np.sum(centered * centered, axis=0))
         return cls(f_stats=f_stats, _centered=centered, _norms=norms)

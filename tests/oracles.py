@@ -143,3 +143,84 @@ def detail_score(samples, scaling_filter, depth):
     if entropy == 0.0:
         return float("inf")
     return energy / entropy
+
+
+def _kernel(kind, a, b, gamma, degree, coef0):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty((len(a), len(b)))
+    for s in range(len(a)):
+        for t in range(len(b)):
+            dot = float(np.dot(a[s], b[t]))
+            if kind == "linear":
+                out[s, t] = dot
+            elif kind == "rbf":
+                out[s, t] = math.exp(-gamma * float(np.sum((a[s] - b[t]) ** 2)))
+            else:
+                out[s, t] = (gamma * dot + coef0) ** degree
+    return out
+
+
+def svm_dual_objective(alphas, signs, support_rows, kind, gamma=None, degree=3, coef0=1.0):
+    """sum(alpha) - 1/2 sum_st alpha_s alpha_t y_s y_t K(x_s, x_t); gamma None is 1/width."""
+    support_rows = np.asarray(support_rows, dtype=float)
+    if gamma is None:
+        gamma = 1.0 / support_rows.shape[1]
+    ay = np.asarray(alphas, dtype=float) * np.asarray(signs, dtype=float)
+    k = _kernel(kind, support_rows, support_rows, gamma, degree, coef0)
+    return float(np.sum(alphas) - 0.5 * ay @ k @ ay)
+
+
+def svm_dual_reference(rows, labels, kind, c, gamma=None, degree=3, coef0=1.0):
+    """Optimal soft-margin dual objective with balanced class weights, by SLSQP.
+
+    Rows are standardized with their own mean and (population) standard
+    deviation; the larger label is the positive class.
+    """
+    from scipy.optimize import minimize
+
+    x = np.asarray(rows, dtype=float)
+    std = x.std(axis=0)
+    x = (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    labels = np.asarray(labels)
+    y = np.where(labels == labels.max(), 1.0, -1.0)
+    n = len(y)
+    box = np.array([c * n / (2 * np.sum(labels == v)) for v in labels])
+    if gamma is None:
+        gamma = 1.0 / x.shape[1]
+    q = np.outer(y, y) * _kernel(kind, x, x, gamma, degree, coef0)
+    result = minimize(
+        lambda a: 0.5 * a @ q @ a - a.sum(), np.zeros(n), jac=lambda a: q @ a - 1.0,
+        method="SLSQP", bounds=[(0.0, b) for b in box],
+        constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+        options={"ftol": 1e-15, "maxiter": 2000})
+    return float(-result.fun)
+
+
+def kkt_violation(model, rows, labels):
+    """Largest KKT violation of an SVM model over its own training rows.
+
+    A row with alpha below its box needs y*f >= 1 and a row with alpha above
+    zero needs y*f <= 1.  Support vectors are matched to the standardized
+    rows in order; rows that are not support vectors have alpha = 0.
+    """
+    xs = (np.asarray(rows, dtype=float) - model.feature_mean) / model.feature_std
+    y = [1.0 if v == model.positive_label else -1.0 for v in labels]
+    box = [model.c * model.class_weights[int(v)] for v in labels]
+    spec = model.kernel
+    k = _kernel(spec.kind, xs, model.support_vectors, spec.gamma, spec.degree, spec.coef0)
+    f = k @ (model.alphas * model.sv_labels) + model.bias
+    worst = 0.0
+    sv = 0
+    for i in range(len(xs)):
+        alpha = 0.0
+        if sv < len(model.alphas) and np.array_equal(xs[i], model.support_vectors[sv]):
+            alpha = float(model.alphas[sv])
+            sv += 1
+        margin = y[i] * float(f[i])
+        if alpha < box[i] * (1 - 1e-9):
+            worst = max(worst, 1.0 - margin)
+        if alpha > 0.0:
+            worst = max(worst, margin - 1.0)
+    assert sv == len(model.alphas), "support vectors are not an ordered subset of the rows"
+    return worst

@@ -36,6 +36,19 @@ class TestFStatistic:
             expected = oracles.anova_f(col, labels)
             assert abs(f_statistic(col, labels) - expected) <= 1e-9 * max(1.0, expected)
 
+    def test_matrix_input_equals_column_calls(self):
+        rng = np.random.default_rng(4)
+        labels = np.array([0, 1, 2] * 9)
+        values = rng.standard_normal((labels.size, 6)) * [1.0, 1e-4, 1e4, 1.0, 1.0, 1.0]
+        values[:, 3] = 7.0  # constant: F = 0
+        values[:, 4] = labels * 2.0  # no within-class spread: the sentinel
+        f = f_statistic(values, labels)
+        assert f.shape == (6,)
+        assert f[3] == 0.0 and f[4] == F_SENTINEL
+        assert f.tolist() == [f_statistic(values[:, j], labels) for j in range(6)]
+        with pytest.raises(ValueError, match="labels"):
+            f_statistic(values, labels[:-1])
+
 
 class TestPearsonAbs:
     def test_self_correlation(self):
