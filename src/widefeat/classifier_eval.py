@@ -7,6 +7,8 @@ nothing to any choice and are scored only when test metrics are requested.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,14 @@ from .dataset import FoldPlan, fold_roles
 from .errors import ConfigError, TrainingError, known_keys
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
 from .svm import KERNEL_KINDS, KernelSpec, SvmModel, svm_predict, svm_train
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,6 +49,16 @@ class EvalConfig:
                               f"got {self.class_weight_mode!r}")
         if self.metric not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.metric!r}; known: {METRIC_NAMES}")
+        if self.gamma is not None and not (_is_real(self.gamma) and math.isfinite(self.gamma)
+                                           and self.gamma > 0):
+            raise ConfigError(f"gamma must be a finite number above 0, got {self.gamma!r}")
+        if not (_is_int(self.degree) and self.degree >= 1):
+            raise ConfigError(f"degree must be an integer >= 1, got {self.degree!r}")
+        if not (_is_real(self.coef0) and math.isfinite(self.coef0)):
+            raise ConfigError(f"coef0 must be a finite number, got {self.coef0!r}")
+        if self.positive_class is not None and not _is_int(self.positive_class):
+            raise ConfigError(f"positive_class must be an integer label, got "
+                              f"{self.positive_class!r}")
 
     def kernel_specs(self) -> list[KernelSpec]:
         return [KernelSpec(kind=k, gamma=self.gamma, degree=self.degree, coef0=self.coef0)
@@ -54,7 +74,7 @@ class EvalConfig:
             class_weight_mode=str(raw.get("class_weight_mode", "balanced")),
             metric=str(raw.get("metric", "accuracy")),
             gamma=raw.get("gamma"),
-            degree=int(raw.get("degree", 3)),
+            degree=raw.get("degree", 3),
             coef0=float(raw.get("coef0", 1.0)),
             positive_class=raw.get("positive_class"),
         )

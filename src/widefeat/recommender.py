@@ -1,11 +1,13 @@
 """Iterative feature recommendation with level escalation.
 
-The loop walks feature-bank levels bottom-up.  At each level it tries every
-k in the schedule: both selectors run per fold on that fold's train+eval
-rows, their union forms a candidate set, and candidates are scored on
-evaluation rows across all folds.  The first candidate meeting the target
-metric in every fold stops the loop, so cheap features win whenever they
-suffice.  Test rows stay untouched until the final sets are frozen.
+The loop walks feature-bank levels bottom-up.  At each level both selectors
+run once per fold, on that fold's train+eval rows, up to the largest k in the
+schedule.  Each k in the schedule then takes the first k picks of those runs
+(a greedy selector updates its sums only after a pick, so the prefix equals a
+run stopped at k); their union forms a candidate set, and candidates are
+scored on evaluation rows across all folds.  The first candidate meeting the
+target metric in every fold stops the loop, so cheap features win whenever
+they suffice.  Test rows stay untouched until the final sets are frozen.
 """
 
 from __future__ import annotations
@@ -271,8 +273,16 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
     classes = sorted({int(r.label) for r in records})
     if len(classes) != 2:
         raise ValidationError(f"recommend needs binary labels, found classes {classes}")
+    positive = config.evaluation.positive_class
+    if positive is not None and positive not in classes:
+        raise ValidationError(f"positive_class {positive} is not one of the labels {classes}")
     plan = make_folds(records, config.p, config.seed)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
+
+    fold_rows = []  # selection sees each fold's train+eval rows only
+    for fold in range(plan.p):
+        train_idx, eval_idx, _ = fold_roles(plan, fold)
+        fold_rows.append(np.sort(np.concatenate([train_idx, eval_idx])))
 
     trace: list[TraceStep] = []
     target_met = False
@@ -280,6 +290,13 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
     for level in range(config.max_level_cap + 1):
         n_cols = matrix.columns_up_to_level(level)
         level_values = matrix.values[:, :n_cols]
+        k_top = min(max(config.k_schedule), n_cols)
+        top = []
+        for rows in fold_rows:
+            sub = level_values[rows]
+            sub_labels = labels[rows]
+            top.append((mrmr_select(sub, sub_labels, k_top, config.selector.mrmr_objective),
+                        mrms_select(sub, sub_labels, k_top, config.selector.mrms_beta)))
         tried_k: set[int] = set()
         for k_raw in config.k_schedule:
             k = min(k_raw, n_cols)
@@ -287,13 +304,8 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
                 continue
             tried_k.add(k)
             selections = []
-            for fold in range(plan.p):
-                train_idx, eval_idx, _ = fold_roles(plan, fold)
-                rows = np.sort(np.concatenate([train_idx, eval_idx]))
-                sub = level_values[rows]
-                sub_labels = labels[rows]
-                x = mrmr_select(sub, sub_labels, k, config.selector.mrmr_objective)
-                y = mrms_select(sub, sub_labels, k, config.selector.mrms_beta)
+            for fold, (x_top, y_top) in enumerate(top):
+                x, y = x_top.prefix(k), y_top.prefix(k)
                 selections.append(FoldSelection(
                     fold=fold, mrmr=x, mrms=y, union=union_recommend(x, y, k)))
 

@@ -19,6 +19,7 @@ from .errors import ConfigError, known_keys
 
 F_SENTINEL = 1e12
 _MIQ_EPS = 1e-12
+_BLOCK_BYTES = 4 << 20  # size of one MRMS slab: class-0 rows x class-1 rows x features
 
 
 def f_statistic(values, labels):
@@ -116,6 +117,17 @@ class SelectionResult:
     ranked_ids: tuple[int, ...]
     step_scores: tuple[SelectionStep, ...]
 
+    def prefix(self, k: int) -> "SelectionResult":
+        """The first ``k`` picks.
+
+        A greedy run updates its redundancy or significance sums only after a
+        pick, so this equals the same run stopped at ``k``.
+        """
+        if not 1 <= k <= self.k:
+            raise ValueError(f"prefix k={k} out of range for a selection of {self.k}")
+        return SelectionResult(method=self.method, k=k, ranked_ids=self.ranked_ids[:k],
+                               step_scores=self.step_scores[:k])
+
     def to_dict(self, names=None) -> dict:
         out = {
             "method": self.method,
@@ -180,20 +192,75 @@ def _minmax_normalize(values: np.ndarray) -> np.ndarray:
     return (values - lo) / span
 
 
-def _similarity_matrix(column: np.ndarray) -> np.ndarray:
-    sigma = float(np.std(column))
-    if sigma == 0.0:
-        return np.ones((column.size, column.size))
-    diff = np.abs(column[:, None] - column[None, :])
-    return np.maximum(0.0, 1.0 - diff / sigma)
+def _scaled_gaps(near: np.ndarray, far: np.ndarray, sigma: np.ndarray, out=None) -> np.ndarray:
+    """|near_i - far_j| / sigma as a near rows x far rows x features block."""
+    gaps = np.subtract(near[:, None, :], far[None, :, :], out=out)
+    np.abs(gaps, out=gaps)
+    gaps /= sigma
+    return gaps
 
 
-def _dependency_from_similarity(sim: np.ndarray, labels: np.ndarray) -> float:
-    cross = labels[:, None] != labels[None, :]
-    worst = np.where(cross, sim, -np.inf).max(axis=1)
-    lower = 1.0 - np.clip(worst, 0.0, 1.0)
-    lower[~np.isfinite(worst)] = 1.0  # no cross-class record at all
-    return float(np.mean(lower))
+class _CrossClassGaps:
+    """Fuzzy-rough dependency degrees of the columns of one records x features matrix.
+
+    Each feature relates records i and j by the similarity
+    max(0, 1 - |di - dj| / sigma) of its min-max normalized values.  Only
+    records of different classes enter the dependency, so everything it needs
+    lives in the class-0 rows x class-1 rows block of that relation.  The
+    blocks hold the scaled gaps |di - dj| / sigma rather than the similarities:
+    1 - x is monotone in floating point too, so a subset's relation is the
+    largest gap over its features, and a record's worst cross-class similarity
+    is max(0, 1 - its smallest gap), the very floats the similarities give.
+    Blocks are rebuilt from the normalized columns on every call, a slab of
+    class-0 rows at a time, so no temporary grows past about ``_BLOCK_BYTES``
+    beyond the n0 x n1 block of the fixed partners.
+    """
+
+    def __init__(self, values: np.ndarray, labels):
+        labels = np.asarray(labels)
+        classes = np.unique(labels)
+        if classes.size > 2:
+            raise ValueError(
+                f"fuzzy dependency needs binary labels, found {classes.size} classes")
+        norm = _minmax_normalize(values)
+        # one contiguous row per feature: each sigma sums in the same order as
+        # np.std of that column alone
+        sigma = np.ascontiguousarray(norm.T).std(axis=1)
+        # a constant column normalizes to all zeros, so its gaps are 0 and its
+        # similarity 1 without dividing by its zero sigma
+        self._sigma = np.where(sigma > 0.0, sigma, 1.0)
+        self._rows = [np.flatnonzero(labels == c) for c in classes]
+        self._cols = [norm[rows] for rows in self._rows]
+        self._n = labels.size
+
+    def dependencies(self, ids, partners=()) -> np.ndarray:
+        """Dependency of each subset {f} | ``partners`` for the features f in ``ids``."""
+        ids = np.asarray(ids, dtype=int)
+        if len(self._rows) < 2:
+            return np.ones(ids.size)  # no cross-class record: every lower membership is 1
+        rows0, rows1 = self._rows
+        fixed = None  # the partners' largest gap, class-0 rows x class-1 rows x 1
+        for p in partners:
+            gap = _scaled_gaps(self._cols[0][:, [p]], self._cols[1][:, [p]], self._sigma[[p]])
+            fixed = gap if fixed is None else np.maximum(fixed, gap, out=fixed)
+        near, far, sigma = self._cols[0][:, ids], self._cols[1][:, ids], self._sigma[ids]
+        slab = max(1, _BLOCK_BYTES // (8 * rows1.size * ids.size))
+        block = np.empty((min(slab, rows0.size), rows1.size, ids.size))
+        nearest0 = np.empty((rows0.size, ids.size))
+        nearest1 = np.full((rows1.size, ids.size), np.inf)
+        for start in range(0, rows0.size, slab):
+            rows = slice(start, start + slab)
+            part = near[rows]
+            gaps = _scaled_gaps(part, far, sigma, out=block[:len(part)])
+            if fixed is not None:
+                np.maximum(gaps, fixed[rows], out=gaps)
+            gaps.min(axis=1, out=nearest0[rows])
+            np.minimum(nearest1, gaps.min(axis=0), out=nearest1)
+        lower = np.empty((ids.size, self._n))
+        lower[:, rows0] = (1.0 - np.maximum(0.0, 1.0 - nearest0)).T
+        lower[:, rows1] = (1.0 - np.maximum(0.0, 1.0 - nearest1)).T
+        # each row is in record order, so it sums as a 1-D mean would
+        return lower.mean(axis=1)
 
 
 def fuzzy_dependency(columns, labels) -> float:
@@ -203,19 +270,18 @@ def fuzzy_dependency(columns, labels) -> float:
     max(0, 1 - |di - dj| / sigma) with sigma its own standard deviation (a
     constant column is maximally similar everywhere).  The subset relation is
     the elementwise minimum, and the dependency is the mean lower-approximation
-    membership of each record in its own class.
+    membership of each record in its own class.  Labels must have at most two
+    classes; with one, every membership is 1.  Only the class-0 rows x
+    class-1 rows block of the relation is built, in slabs, so memory is
+    O(n0 * n1) rather than one n x n matrix per feature.
     """
     values = np.asarray(getattr(columns, "values", columns), dtype=float)
     if values.ndim == 1:
         values = values[:, None]
     if values.shape[1] == 0:
         raise ValueError("fuzzy dependency needs a non-empty feature subset")
-    labels = np.asarray(labels)
-    norm = _minmax_normalize(values)
-    sim = _similarity_matrix(norm[:, 0])
-    for j in range(1, norm.shape[1]):
-        sim = np.minimum(sim, _similarity_matrix(norm[:, j]))
-    return _dependency_from_similarity(sim, labels)
+    partners = range(1, values.shape[1])
+    return float(_CrossClassGaps(values, labels).dependencies([0], partners)[0])
 
 
 def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
@@ -223,17 +289,22 @@ def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
 
     J_rel(f) is the single-feature fuzzy dependency; J_sig(f | S) is the mean
     over chosen features s of the dependency gain of the pair {f, s} over {s}.
+    Labels must be binary.  All dependencies come from the class-0 rows x
+    class-1 rows blocks of the fuzzy relation, which are rebuilt from the
+    normalized columns after each pick, a slab of at most about
+    ``_BLOCK_BYTES`` (4 MB) at a time, with the gains of every available
+    feature in one pass.  Memory is O(n0 * n1) plus that slab, not one n x n
+    matrix per feature (at 800 records x 163 features, under 128 MB where
+    those matrices alone take 835 MB).
     """
     values = np.asarray(getattr(values, "values", values), dtype=float)
-    n_records, n_features = values.shape
+    n_features = values.shape[1]
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} out of range for {n_features} features")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    labels = np.asarray(labels)
-    norm = _minmax_normalize(values)
-    sims = [_similarity_matrix(norm[:, j]) for j in range(n_features)]
-    singles = np.asarray([_dependency_from_similarity(s, labels) for s in sims])
+    gaps = _CrossClassGaps(values, labels)
+    singles = gaps.dependencies(np.arange(n_features))
 
     available = np.ones(n_features, dtype=bool)
     gain_sum = np.zeros(n_features)
@@ -251,9 +322,8 @@ def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
         steps.append(SelectionStep(feature_id=pick, relevance=float(singles[pick]),
                                    pairwise=float(j_sig[pick]), score=float(scores[pick])))
         if step < k - 1:
-            for f in np.flatnonzero(available):
-                pair = _dependency_from_similarity(np.minimum(sims[f], sims[pick]), labels)
-                gain_sum[f] += pair - singles[pick]
+            rest = np.flatnonzero(available)
+            gain_sum[rest] += gaps.dependencies(rest, (pick,)) - singles[pick]
     return SelectionResult(method="mrms", k=k, ranked_ids=tuple(ranked),
                            step_scores=tuple(steps))
 

@@ -108,6 +108,56 @@ def mrms_brute_step(values, labels, selected, beta):
     return best_id
 
 
+def _similarity_matrix(column):
+    sigma = float(np.std(column))
+    if sigma == 0.0:
+        return np.ones((column.size, column.size))
+    diff = np.abs(column[:, None] - column[None, :])
+    return np.maximum(0.0, 1.0 - diff / sigma)
+
+
+def _dependency_from_similarity(sim, labels):
+    cross = labels[:, None] != labels[None, :]
+    worst = np.where(cross, sim, -np.inf).max(axis=1)
+    lower = 1.0 - np.clip(worst, 0.0, 1.0)
+    lower[~np.isfinite(worst)] = 1.0  # no cross-class record at all
+    return float(np.mean(lower))
+
+
+def mrms_reference(values, labels, k, beta):
+    """Greedy MRMS in loop form: one n x n similarity matrix per feature and
+    one pair dependency per remaining feature after each pick.
+
+    Returns the ranked ids and one (id, J_rel, J_sig, J) tuple per pick.
+    """
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    lo = values.min(axis=0)
+    span = values.max(axis=0) - lo
+    norm = (values - lo) / np.where(span > 0.0, span, 1.0)
+    n_features = values.shape[1]
+    sims = [_similarity_matrix(norm[:, j]) for j in range(n_features)]
+    singles = [_dependency_from_similarity(s, labels) for s in sims]
+    gain_sum = [0.0] * n_features
+    ranked, steps = [], []
+    for step in range(k):
+        best = None
+        for f in range(n_features):
+            if f in ranked:
+                continue
+            j_sig = gain_sum[f] / len(ranked) if ranked else 0.0
+            score = singles[f] + beta * j_sig
+            if best is None or score > best[3]:
+                best = (f, singles[f], j_sig, score)
+        ranked.append(best[0])
+        steps.append(best)
+        for f in range(n_features):
+            if f not in ranked:
+                pair = _dependency_from_similarity(np.minimum(sims[f], sims[best[0]]), labels)
+                gain_sum[f] += pair - singles[best[0]]
+    return tuple(ranked), tuple(steps)
+
+
 def periodic_dwt_matrix(n, dec_filter):
     """Analysis operator rows built(point by point) from the circular formula."""
     flen = len(dec_filter)

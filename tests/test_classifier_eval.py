@@ -4,6 +4,7 @@ import pytest
 from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca,
                                       pca_baseline)
 from widefeat.dataset import FoldPlan, SignalRecord, make_folds
+from widefeat.errors import ConfigError
 
 
 def records_for(labels):
@@ -17,6 +18,26 @@ def planted_matrix(n=50, n_features=6, gap=6.0, seed=0):
     values = rng.standard_normal((n, n_features))
     values[:, 2] = labels * gap + 0.3 * rng.standard_normal(n)
     return values, labels
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("bad", [
+        {"gamma": -5.0}, {"gamma": 0.0}, {"gamma": "abc"}, {"gamma": float("inf")},
+        {"gamma": float("nan")}, {"gamma": True},
+        {"degree": 0}, {"degree": 2.5}, {"degree": "3"},
+        {"coef0": float("nan")}, {"coef0": float("-inf")},
+        {"positive_class": "1"}, {"positive_class": 1.0},
+    ])
+    def test_bad_kernel_settings_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            EvalConfig(**bad)
+        with pytest.raises(ConfigError):
+            EvalConfig.from_dict(bad)
+
+    def test_good_kernel_settings_accepted(self):
+        config = EvalConfig(gamma=0.25, degree=2, coef0=-1.0, positive_class=0)
+        assert EvalConfig.from_dict(config.to_dict()) == config
+        assert EvalConfig(gamma=np.float64(2.0), degree=np.int64(1)).gamma == 2.0
 
 
 class TestEvaluateFeatureSet:

@@ -162,6 +162,9 @@ class TestRejectBeforeCompute:
         {"evaluation": {"class_weight_mode": "foo"}},
         {"selector": {"mrmr": {"objective": "XYZ"}}},
         {"selector": {"mrms": {"beta": -1}}},
+        {"evaluation": {"gamma": -5}},
+        {"evaluation": {"degree": 0}},
+        {"evaluation": {"positive_class": 7}},
     ])
     def test_bad_config_value_exits_2(self, planted_manifest, tmp_path, no_extraction,
                                       override):

@@ -4,11 +4,12 @@ import pytest
 import widefeat.recommender as recommender_module
 from conftest import amplitude_shape_records, sine_records
 from widefeat.classifier_eval import EvalConfig, FoldOutcome
-from widefeat.dataset import make_folds, SignalRecord
+from widefeat.dataset import fold_roles, make_folds, SignalRecord
 from widefeat.errors import ConfigError, RunError, ValidationError
 from widefeat.feature_bank import parse_lineage_path
 from widefeat.recommender import (RecommendConfig, exhaustive_refine, interpret,
                                   recommend)
+from widefeat.selector import mrmr_select, mrms_select, union_recommend
 
 FAST_EVAL = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0, 10.0))
 
@@ -85,6 +86,11 @@ class TestConfig:
         {"evaluation": {"seed": 11, "kkt_tol": 1e-3, "max_passes": 10}},
         {"selector": {"mrmr": {"objectve": "MIQ"}}},
         {"metrics": "f_score"},
+        {"evaluation": {"gamma": -5.0}},
+        {"evaluation": {"gamma": "abc"}},
+        {"evaluation": {"degree": 0}},
+        {"evaluation": {"coef0": float("nan")}},
+        {"evaluation": {"positive_class": "1"}},
     ])
     def test_bad_values_raise_config_error(self, raw):
         with pytest.raises(ConfigError):
@@ -99,6 +105,16 @@ class TestConfig:
                                 sample_rate_hz=100.0, label=i % 3) for i in range(45)]
         with pytest.raises(ValidationError, match="binary"):
             recommend(records, fast_config(k_schedule=(5,)))
+
+    def test_absent_positive_class_rejected_before_extraction(self, monkeypatch):
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("build_feature_matrix must not run")
+
+        monkeypatch.setattr(recommender_module, "build_feature_matrix", no_extraction)
+        records = energy_split_records(n_records=20, n=64)
+        config = fast_config(evaluation=EvalConfig(positive_class=7))
+        with pytest.raises(ValidationError, match="positive_class 7"):
+            recommend(records, config)
 
 
 class TestLevelGating:
@@ -184,6 +200,36 @@ class TestTraceAndSets:
         with pytest.raises(RunError) as excinfo:
             recommend(energy_split_records(), fast_config())
         assert excinfo.value.trace
+
+
+class TestSelectionOncePerFold:
+    def test_trace_selections_equal_direct_per_k_runs(self, monkeypatch):
+        calls = []
+
+        def counted(select):
+            def wrapper(values, labels, k, *args):
+                calls.append((select.__name__, k))
+                return select(values, labels, k, *args)
+            return wrapper
+
+        monkeypatch.setattr(recommender_module, "mrmr_select", counted(mrmr_select))
+        monkeypatch.setattr(recommender_module, "mrms_select", counted(mrms_select))
+        records = energy_split_records(n_records=30, n=128, seed=11)
+        config = fast_config(tau=1.01, k_schedule=(3, 6),
+                             evaluation=EvalConfig(kernels=("linear",), c_grid=(1.0,)))
+        rec = recommend(records, config)
+        assert [(s.level, s.k) for s in rec.trace] == [(lv, k) for lv in range(3) for k in (3, 6)]
+        # once per level and fold, at the largest k
+        assert sorted(calls) == [("mrmr_select", 6)] * 15 + [("mrms_select", 6)] * 15
+        labels = np.array([r.label for r in records])
+        for step in rec.trace:
+            values = rec.matrix.values[:, :rec.matrix.columns_up_to_level(step.level)]
+            for sel in step.selections:
+                train_idx, eval_idx, _ = fold_roles(rec.plan, sel.fold)
+                rows = np.sort(np.concatenate([train_idx, eval_idx]))
+                assert sel.mrmr == mrmr_select(values[rows], labels[rows], step.k, "MID")
+                assert sel.mrms == mrms_select(values[rows], labels[rows], step.k, 0.5)
+                assert sel.union == union_recommend(sel.mrmr, sel.mrms, step.k)
 
 
 def refinement_fixture(seed=19):

@@ -229,6 +229,96 @@ class TestMrms:
             mrms_select(values, np.array([0, 1] * 4), 2, beta=-0.1)
 
 
+def mrms_fixture(rng):
+    """Random columns with the cases where block and loop forms could part:
+    a constant column, a duplicate, rounded (tied) values, 1e-3 and 1e3
+    scales, unbalanced classes (15-85%) and non-0/1 label values."""
+    n, m = int(rng.integers(10, 50)), int(rng.integers(5, 11))
+    labels = (rng.random(n) < rng.uniform(0.15, 0.85)).astype(int)
+    labels[:2] = (0, 1)
+    if rng.random() < 0.5:
+        labels = np.where(labels == 1, 7, 3)
+    values = rng.standard_normal((n, m))
+    values[:, rng.integers(m)] += (labels == labels.max()) * rng.uniform(0.3, 2.0)
+    values[:, 0] = 4.2
+    values[:, 1] = values[:, 2]
+    values[:, 3] = np.round(values[:, 3])
+    values[:, 4] *= 1e-3
+    values[:, -1] *= 1e3
+    return values, labels
+
+
+class TestMrmsBlocks:
+    def test_bitwise_equal_to_loop_form(self):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            values, labels = mrms_fixture(rng)
+            k = int(rng.integers(1, values.shape[1] + 1))
+            beta = float(rng.choice([0.0, 0.5, 1.3]))
+            result = mrms_select(values, labels, k, beta)
+            ids, steps = oracles.mrms_reference(values, labels, k, beta)
+            assert result.ranked_ids == ids, trial
+            got = tuple((s.feature_id, s.relevance, s.pairwise, s.score)
+                        for s in result.step_scores)
+            assert got == steps, trial  # exact floats, not approx
+
+    def test_one_class_matches_oracle(self):
+        values = np.random.default_rng(13).standard_normal((9, 2))
+        labels = np.zeros(9, dtype=int)
+        assert oracles.fuzzy_gamma(values, labels) == 1.0
+        assert fuzzy_dependency(values, labels) == 1.0
+        assert fuzzy_dependency(values[:, 0], labels) == 1.0
+
+    def test_three_classes_rejected(self):
+        values = np.random.default_rng(14).standard_normal((9, 3))
+        labels = np.array([0, 1, 2] * 3)
+        with pytest.raises(ValueError, match="binary"):
+            fuzzy_dependency(values, labels)
+        with pytest.raises(ValueError, match="binary"):
+            mrms_select(values, labels, 2)
+
+    def test_memory_stays_bounded(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(15)
+        values = rng.standard_normal((800, 163))
+        labels = np.array([0, 1] * 400)
+        tracemalloc.start()
+        try:
+            mrms_select(values, labels, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 800 x 800 similarity matrix per feature would be 835 MB
+        assert peak < 128 * 2**20
+
+
+class TestPrefix:
+    def test_prefix_equals_direct_run(self):
+        rng = np.random.default_rng(16)
+        labels = np.array([0, 1] * 15)
+        values = rng.standard_normal((30, 12))
+        values[:, 3] += labels * 1.5
+        values[:, 7] = np.round(values[:, 7])
+        k_top = 9
+        runs = (lambda k: mrmr_select(values, labels, k, "MID"),
+                lambda k: mrmr_select(values, labels, k, "MIQ"),
+                lambda k: mrms_select(values, labels, k, beta=0.7))
+        for select in runs:
+            top = select(k_top)
+            for k in (1, 2, 5, 8, k_top):
+                prefix = top.prefix(k)
+                assert prefix == select(k)
+                assert prefix.k == k and len(prefix.step_scores) == k
+
+    def test_prefix_out_of_range(self):
+        result = mrmr_like(("a", "b", "c"))
+        with pytest.raises(ValueError, match="prefix"):
+            result.prefix(4)
+        with pytest.raises(ValueError, match="prefix"):
+            result.prefix(0)
+
+
 class TestUnion:
     def test_idempotent(self):
         x = mrmr_like(("a", "b", "c"))
