@@ -8,23 +8,15 @@ nothing to any choice and are scored only when test metrics are requested.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import FoldPlan, fold_roles
-from .errors import ConfigError, TrainingError, known_keys
+from .errors import (ConfigError, TrainingError, is_int, is_real, known_keys, list_setting,
+                     real_setting, require_int)
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
 from .svm import KERNEL_KINDS, KernelSpec, SvmModel, svm_predict, svm_train
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,21 +34,20 @@ class EvalConfig:
         if not self.kernels or any(k not in KERNEL_KINDS for k in self.kernels):
             raise ConfigError(f"kernels must be a non-empty subset of {KERNEL_KINDS}, "
                               f"got {self.kernels}")
-        if not self.c_grid or any(not c > 0 for c in self.c_grid):
+        if not self.c_grid or any(not (is_real(c) and c > 0) for c in self.c_grid):
             raise ConfigError(f"c_grid must hold positive values, got {self.c_grid}")
         if self.class_weight_mode not in ("balanced", "none"):
             raise ConfigError(f"class_weight_mode must be 'balanced' or 'none', "
                               f"got {self.class_weight_mode!r}")
         if self.metric not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.metric!r}; known: {METRIC_NAMES}")
-        if self.gamma is not None and not (_is_real(self.gamma) and math.isfinite(self.gamma)
+        if self.gamma is not None and not (is_real(self.gamma) and math.isfinite(self.gamma)
                                            and self.gamma > 0):
             raise ConfigError(f"gamma must be a finite number above 0, got {self.gamma!r}")
-        if not (_is_int(self.degree) and self.degree >= 1):
-            raise ConfigError(f"degree must be an integer >= 1, got {self.degree!r}")
-        if not (_is_real(self.coef0) and math.isfinite(self.coef0)):
+        require_int(self.degree, "degree", 1)
+        if not (is_real(self.coef0) and math.isfinite(self.coef0)):
             raise ConfigError(f"coef0 must be a finite number, got {self.coef0!r}")
-        if self.positive_class is not None and not _is_int(self.positive_class):
+        if self.positive_class is not None and not is_int(self.positive_class):
             raise ConfigError(f"positive_class must be an integer label, got "
                               f"{self.positive_class!r}")
 
@@ -68,14 +59,16 @@ class EvalConfig:
     def from_dict(cls, raw: dict) -> "EvalConfig":
         known_keys(raw, "kernels c_grid class_weight_mode metric gamma degree coef0 "
                         "positive_class", "evaluation")
+        c_grid = list_setting(raw.get("c_grid", (0.1, 1.0, 10.0)), "evaluation.c_grid")
         return cls(
-            kernels=tuple(raw.get("kernels", ("linear", "rbf", "poly"))),
-            c_grid=tuple(float(c) for c in raw.get("c_grid", (0.1, 1.0, 10.0))),
+            kernels=list_setting(raw.get("kernels", ("linear", "rbf", "poly")),
+                                 "evaluation.kernels"),
+            c_grid=tuple(real_setting(c, "evaluation.c_grid entry") for c in c_grid),
             class_weight_mode=str(raw.get("class_weight_mode", "balanced")),
             metric=str(raw.get("metric", "accuracy")),
             gamma=raw.get("gamma"),
             degree=raw.get("degree", 3),
-            coef0=float(raw.get("coef0", 1.0)),
+            coef0=real_setting(raw.get("coef0", 1.0), "evaluation.coef0"),
             positive_class=raw.get("positive_class"),
         )
 

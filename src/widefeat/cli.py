@@ -21,8 +21,8 @@ import numpy as np
 
 from .classifier_eval import pca_baseline
 from .dataset import fold_roles, load_dataset, load_manifest, make_folds
-from .errors import ConfigError, RunError, WidefeatError
-from .feature_bank import ExtractionConfig, build_feature_matrix
+from .errors import ConfigError, RunError, WidefeatError, require_int
+from .feature_bank import MAX_LEVEL, ExtractionConfig, build_feature_matrix
 from .metrics import METRIC_NAMES
 from .recommender import RecommendConfig, interpret, recommend
 from .svm import KERNEL_KINDS
@@ -75,12 +75,13 @@ def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     raw = _read_json(args.config) if args.config else {}
     try:
-        max_level = int(raw.pop("max_level", 2))
+        max_level = raw.pop("max_level", 2)
         config = ExtractionConfig.from_dict(raw)
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed extract config: {exc}") from exc
     if args.max_level is not None:
         max_level = args.max_level
+    require_int(max_level, "max_level", 0, MAX_LEVEL)
     records = load_dataset(manifest)
     matrix = build_feature_matrix(records, config, max_level=max_level)
 
@@ -101,7 +102,7 @@ def _require_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in raw:
-        return int(raw["seed"])
+        return raw["seed"]
     raise ConfigError("a seed is required: pass --seed or set \"seed\" in the config file")
 
 

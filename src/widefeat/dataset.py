@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LoadError, ValidationError
+from .errors import ConfigError, LoadError, ValidationError, require_int
 
 MIN_SAMPLES = 16
+MIN_FOLDS, MAX_FOLDS = 5, 10
 # Feature statistics sum fourth powers of deviations over a record.  Second
 # differences reach 4x the peak sample and their deviations from the mean 8x,
 # so n * (8 * peak)^4 must stay below the float64 maximum.
@@ -208,8 +209,7 @@ def make_folds(records, p: int, seed: int) -> FoldPlan:
     Per class, fold sizes differ by at most one.  Every class must have at
     least ``p`` members.
     """
-    if not 5 <= p <= 10:
-        raise ConfigError(f"fold count p must be in [5, 10], got {p}")
+    require_int(p, "fold count p", MIN_FOLDS, MAX_FOLDS)
     labels = np.asarray([r.label for r in records], dtype=int)
     rng = np.random.default_rng(seed)
     assignments = np.full(labels.size, -1, dtype=int)

@@ -5,7 +5,9 @@ magnitudes, DWT bands under an automatically chosen mother wavelet) plus a
 few raw summaries of them.  Level 1 summarizes those representations with a
 fixed statistical / spectral / peak-trough catalog.  Level 2 derives guarded
 ratios of declared level-1 pairs and recomputes the statistical catalog on
-the first and second differences of the time series.
+the first and second differences of the time series.  The statistical
+catalog is the ``STAT_NAMES`` tuple; ``_statistics`` computes all of it for
+one array in one pass.
 
 Every column is described by a :class:`FeatureDescriptor` whose lineage
 renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,12 +25,14 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import ConfigError, DegenerateSignalError, ValidationError, known_keys
+from .errors import (ConfigError, DegenerateSignalError, ValidationError, is_int, known_keys,
+                     list_setting, real_setting, require_int)
 from .stft import rfft_bin_frequencies, stft
 from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, filter_length,
-                       select_mother_wavelet)
+                       select_mother_wavelet, shannon_entropy)
 
 PATH_SEP = " → "
+MAX_LEVEL = 2  # levels run 0..MAX_LEVEL
 _GUARD_EPS = 1e-12
 _VAR_FLOOR = 1e-24  # below this the signal counts as constant for moment ratios
 _ROOT_RE = re.compile(r"^(time|stft|dwt\([A-Za-z0-9_.]+\))(/(approx|detail)\d+)?$")
@@ -122,12 +127,13 @@ class ExtractionConfig:
     peak_min_separation_frac: float = 0.05
 
     def __post_init__(self):
-        if self.stft_window < 2 or self.stft_window & (self.stft_window - 1):
-            raise ConfigError(f"stft window must be a power of two, got {self.stft_window}")
-        if self.stft_hop < 1:
-            raise ConfigError(f"stft hop must be >= 1, got {self.stft_hop}")
-        if not self.wavelet_bank or self.dwt_depth < 1:
-            raise ConfigError("dwt needs a non-empty wavelet bank and a depth >= 1")
+        window = self.stft_window
+        if not (is_int(window) and window >= 2) or window & (window - 1):
+            raise ConfigError(f"stft window must be a power of two, got {window!r}")
+        require_int(self.stft_hop, "stft hop", 1)
+        require_int(self.dwt_depth, "dwt depth", 1)
+        if not self.wavelet_bank:
+            raise ConfigError("dwt needs a non-empty wavelet bank")
         for name in self.wavelet_bank:
             try:
                 filter_length(name)
@@ -141,12 +147,14 @@ class ExtractionConfig:
         dwt_cfg = known_keys(raw.get("dwt", {}), "bank depth", "dwt")
         peaks = known_keys(raw.get("peaks", {}), "prominence_frac min_separation_frac", "peaks")
         return cls(
-            stft_window=int(stft_cfg.get("window", 256)),
-            stft_hop=int(stft_cfg.get("hop", 128)),
-            wavelet_bank=tuple(dwt_cfg.get("bank", WAVELET_BANK)),
-            dwt_depth=int(dwt_cfg.get("depth", 4)),
-            peak_prominence_frac=float(peaks.get("prominence_frac", 0.1)),
-            peak_min_separation_frac=float(peaks.get("min_separation_frac", 0.05)),
+            stft_window=stft_cfg.get("window", 256),
+            stft_hop=stft_cfg.get("hop", 128),
+            wavelet_bank=list_setting(dwt_cfg.get("bank", WAVELET_BANK), "dwt.bank"),
+            dwt_depth=dwt_cfg.get("depth", 4),
+            peak_prominence_frac=real_setting(peaks.get("prominence_frac", 0.1),
+                                              "peaks.prominence_frac"),
+            peak_min_separation_frac=real_setting(peaks.get("min_separation_frac", 0.05),
+                                                  "peaks.min_separation_frac"),
         )
 
     def to_dict(self) -> dict:
@@ -167,67 +175,39 @@ def _guard_ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
+STAT_NAMES = ("mean", "std", "variance", "skewness", "kurtosis", "rms", "min", "max",
+              "range", "median", "iqr", "mad", "zero_crossing_rate", "line_length",
+              "hist_entropy")
+
+
+def _statistics(x: np.ndarray) -> tuple[float, ...]:
+    """The statistical catalog of one array, in ``STAT_NAMES`` order.
+
+    The mean, central moments and extremes are computed once.  Skewness and
+    kurtosis are 0 below ``_VAR_FLOOR``, the zero-crossing rate and line
+    length are 0 below two samples, and the 16-bin amplitude histogram
+    entropy is 0 when every sample is equal.
+    """
     mu = float(np.mean(x))
     d = x - mu
     m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d ** 3))
-    m4 = float(np.mean(d ** 4))
-    return mu, m2, m3, m4
-
-
-def _skewness(x: np.ndarray) -> float:
-    _, m2, m3, _ = _moments(x)
-    if m2 < _VAR_FLOOR:
-        return 0.0
-    return m3 / m2 ** 1.5
-
-
-def _kurtosis_excess(x: np.ndarray) -> float:
-    _, m2, _, m4 = _moments(x)
-    if m2 < _VAR_FLOOR:
-        return 0.0
-    return m4 / (m2 * m2) - 3.0
-
-
-def _zero_crossing_rate(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
-    return float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1)
-
-
-def _line_length(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
-    return float(np.sum(np.abs(np.diff(x))))
-
-
-def _hist_entropy(x: np.ndarray, bins: int = 16) -> float:
+    skew = kurt = 0.0
+    if m2 >= _VAR_FLOOR:
+        skew = float(np.mean(d ** 3)) / m2 ** 1.5
+        kurt = float(np.mean(d ** 4)) / (m2 * m2) - 3.0
     lo, hi = float(np.min(x)), float(np.max(x))
-    if hi <= lo:
-        return 0.0
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
-    p = counts[counts > 0] / x.size
-    return float(-np.sum(p * np.log(p)))
+    q25, q75 = np.percentile(x, (25, 75))
+    zcr = line = entropy = 0.0
+    if x.size >= 2:
+        zcr = float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1)
+        line = float(np.sum(np.abs(np.diff(x))))
+    if hi > lo:
+        counts, _ = np.histogram(x, bins=16, range=(lo, hi))
+        entropy = shannon_entropy(counts / x.size)
+    return (mu, math.sqrt(m2), m2, skew, kurt, float(np.sqrt(np.mean(x * x))), lo, hi,
+            hi - lo, float(np.median(x)), float(q75 - q25), float(np.mean(np.abs(d))),
+            zcr, line, entropy)
 
-
-STAT_CATALOG: tuple[tuple[str, object], ...] = (
-    ("mean", lambda x: float(np.mean(x))),
-    ("std", lambda x: float(np.std(x))),
-    ("variance", lambda x: float(np.var(x))),
-    ("skewness", _skewness),
-    ("kurtosis", _kurtosis_excess),
-    ("rms", lambda x: float(np.sqrt(np.mean(x * x)))),
-    ("min", lambda x: float(np.min(x))),
-    ("max", lambda x: float(np.max(x))),
-    ("range", lambda x: float(np.max(x) - np.min(x))),
-    ("median", lambda x: float(np.median(x))),
-    ("iqr", lambda x: float(np.percentile(x, 75) - np.percentile(x, 25))),
-    ("mad", lambda x: float(np.mean(np.abs(x - np.mean(x))))),
-    ("zero_crossing_rate", _zero_crossing_rate),
-    ("line_length", _line_length),
-    ("hist_entropy", _hist_entropy),
-)
 
 SPECTRAL_NAMES = ("spectral_centroid_hz", "spectral_spread_hz", "rolloff85_hz",
                   "flatness", "spectral_entropy", "flux_mean",
@@ -236,15 +216,6 @@ SPECTRAL_NAMES = ("spectral_centroid_hz", "spectral_spread_hz", "rolloff85_hz",
 
 PEAK_NAMES = ("peak_count", "trough_count", "peak_amp_mean", "peak_amp_std",
               "peak_interval_mean_s", "peak_interval_std_s", "peak_trough_amp_mean")
-
-
-def _band_energy_entropy(band: np.ndarray) -> float:
-    energy = float(np.dot(band, band))
-    if energy <= 0.0:
-        return 0.0
-    p = band * band / energy
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
 
 
 def _spectral_features(avg_mag: np.ndarray, freqs: np.ndarray, mags: np.ndarray) -> dict[str, float]:
@@ -262,9 +233,7 @@ def _spectral_features(avg_mag: np.ndarray, freqs: np.ndarray, mags: np.ndarray)
         out["rolloff85_hz"] = float(freqs[int(np.searchsorted(cum, 0.85 * total_power))])
         if np.all(power > 0.0):
             out["flatness"] = float(np.exp(np.mean(np.log(power))) / np.mean(power))
-        p = power / total_power
-        nz = p[p > 0.0]
-        out["spectral_entropy"] = float(-np.sum(nz * np.log(nz)))
+        out["spectral_entropy"] = shannon_entropy(power / total_power)
         # four log-spaced bands over the non-DC bins
         edges = np.geomspace(freqs[1], freqs[-1], 5)
         band_power = power[1:]
@@ -377,7 +346,9 @@ def extract_level0(record, config: ExtractionConfig) -> RecordFragment:
         rel = energies[name] / total if total > 0.0 else 0.0
         frag.append(0, (f"dwt({wavelet})/{name}", "relative_energy"), rel)
     for name, b in bands:
-        frag.append(0, (f"dwt({wavelet})/{name}", "entropy"), _band_energy_entropy(b))
+        energy = energies[name]
+        entropy = shannon_entropy(b * b / energy) if energy > 0.0 else 0.0
+        frag.append(0, (f"dwt({wavelet})/{name}", "entropy"), entropy)
     avg = mags.mean(axis=0)
     frag.append(0, ("stft", "dominant_frequency_hz"), float(freqs[int(np.argmax(avg))]))
     return frag
@@ -387,11 +358,11 @@ def extract_level1(frag: RecordFragment) -> RecordFragment:
     """Append the statistical / spectral / peak-trough catalog to a level-0 fragment."""
     if frag.level != 0:
         raise ValueError("extract_level1 expects a level-0 fragment")
-    for stat, fn in STAT_CATALOG:
-        frag.append(1, ("time", stat), fn(frag.samples))
+    for stat, value in zip(STAT_NAMES, _statistics(frag.samples)):
+        frag.append(1, ("time", stat), value)
     for name, b in frag.bands:
-        for stat, fn in STAT_CATALOG:
-            frag.append(1, (f"dwt({frag.wavelet})/{name}", stat), fn(b))
+        for stat, value in zip(STAT_NAMES, _statistics(b)):
+            frag.append(1, (f"dwt({frag.wavelet})/{name}", stat), value)
     spectral = _spectral_features(frag.stft_mags.mean(axis=0), frag.stft_freqs, frag.stft_mags)
     for stat in SPECTRAL_NAMES:
         frag.append(1, ("stft", stat), spectral[stat])
@@ -428,8 +399,8 @@ def extract_level2(frag: RecordFragment) -> RecordFragment:
     d1 = np.diff(frag.samples)
     d2 = np.diff(frag.samples, n=2)
     for tag, arr in (("d1", d1), ("d2", d2)):
-        for stat, fn in STAT_CATALOG:
-            frag.append(2, ("time", tag, stat), fn(arr))
+        for stat, value in zip(STAT_NAMES, _statistics(arr)):
+            frag.append(2, ("time", tag, stat), value)
     frag.level = 2
     return frag
 
@@ -474,8 +445,7 @@ def build_feature_matrix(records, config: ExtractionConfig, max_level: int) -> F
     records = list(records)
     if not records:
         raise ConfigError("cannot build a feature matrix from zero records")
-    if max_level not in (0, 1, 2):
-        raise ConfigError(f"max_level must be 0, 1 or 2, got {max_level}")
+    require_int(max_level, "max_level", 0, MAX_LEVEL)
     rates = {float(r.sample_rate_hz) for r in records}
     if len(rates) != 1:
         raise ConfigError(f"records mix sample rates {sorted(rates)}; resample upstream")

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier_eval import EvalConfig, evaluate_feature_set
-from .dataset import FoldPlan, fold_roles, make_folds
-from .errors import ConfigError, RunError, ValidationError, known_keys
-from .feature_bank import (ExtractionConfig, FeatureDescriptor, FeatureMatrix,
+from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, fold_roles, make_folds
+from .errors import (ConfigError, RunError, ValidationError, is_real, known_keys, list_setting,
+                     real_setting, require_int)
+from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureDescriptor, FeatureMatrix,
                            build_feature_matrix, describe)
 from .metrics import METRIC_NAMES, MetricReport
 from .selector import (SelectionResult, SelectorConfig, mrmr_select, mrms_select,
@@ -45,18 +46,18 @@ class RecommendConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not (is_real(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be a positive number, got {self.tau!r}")
         if self.metric not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if not self.k_schedule:
             raise ConfigError("k_schedule must not be empty")
-        if any(k < 1 for k in self.k_schedule):
-            raise ConfigError(f"every k must be >= 1, got {self.k_schedule}")
-        if not 0 <= self.c <= 20:
-            raise ConfigError(f"refinement cap c must be in [0, 20], got {self.c}")
-        if not 0 <= self.max_level_cap <= 2:
-            raise ConfigError(f"max_level_cap must be 0, 1 or 2, got {self.max_level_cap}")
+        for k in self.k_schedule:
+            require_int(k, "every k", 1)
+        require_int(self.c, "refinement cap c", 0, 20)
+        require_int(self.p, "fold count p", MIN_FOLDS, MAX_FOLDS)
+        require_int(self.seed, "seed", 0)
+        require_int(self.max_level_cap, "max_level_cap", 0, MAX_LEVEL)
         if self.evaluation.metric != self.metric:
             object.__setattr__(self, "evaluation", replace(self.evaluation, metric=self.metric))
 
@@ -72,13 +73,13 @@ class RecommendConfig:
                 raise ConfigError(f"evaluation.metric {evaluation['metric']!r} disagrees with "
                                   f"metric {metric!r}; set the metric once, at the top level")
             return cls(
-                tau=float(raw.get("tau", 0.85)),
+                tau=real_setting(raw.get("tau", 0.85), "tau"),
                 metric=metric,
-                k_schedule=tuple(int(k) for k in raw.get("k_schedule", (5, 10, 15, 20))),
-                c=int(raw.get("c", 10)),
-                p=int(raw.get("p", 5)),
-                seed=int(raw.get("seed", 0)),
-                max_level_cap=int(raw.get("max_level_cap", 2)),
+                k_schedule=list_setting(raw.get("k_schedule", (5, 10, 15, 20)), "k_schedule"),
+                c=raw.get("c", 10),
+                p=raw.get("p", 5),
+                seed=raw.get("seed", 0),
+                max_level_cap=raw.get("max_level_cap", 2),
                 selector=SelectorConfig.from_dict(raw.get("selector", {})),
                 extraction=ExtractionConfig.from_dict(raw.get("extraction", {})),
                 evaluation=EvalConfig.from_dict(evaluation),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, known_keys
+from .errors import ConfigError, is_real, known_keys, real_setting
 
 F_SENTINEL = 1e12
 _MIQ_EPS = 1e-12
@@ -355,7 +355,7 @@ class SelectorConfig:
     def __post_init__(self):
         if self.mrmr_objective not in ("MID", "MIQ"):
             raise ConfigError(f"mrmr objective must be MID or MIQ, got {self.mrmr_objective!r}")
-        if not self.mrms_beta >= 0:
+        if not (is_real(self.mrms_beta) and self.mrms_beta >= 0):
             raise ConfigError(f"mrms beta must be >= 0, got {self.mrms_beta}")
 
     @classmethod
@@ -364,7 +364,7 @@ class SelectorConfig:
         mrmr = known_keys(raw.get("mrmr", {}), "objective", "selector.mrmr")
         mrms = known_keys(raw.get("mrms", {}), "beta", "selector.mrms")
         return cls(mrmr_objective=str(mrmr.get("objective", "MID")).upper(),
-                   mrms_beta=float(mrms.get("beta", 0.5)))
+                   mrms_beta=real_setting(mrms.get("beta", 0.5), "selector.mrms.beta"))
 
     def to_dict(self) -> dict:
         return {"mrmr": {"objective": self.mrmr_objective},

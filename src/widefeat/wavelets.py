@@ -188,6 +188,12 @@ def dwt_reconstruct(bands: list[np.ndarray], wavelet_name: str, length: int) -> 
     return approx
 
 
+def shannon_entropy(p: np.ndarray) -> float:
+    """Natural-log entropy ``-sum(p log p)`` of a distribution, with 0*log(0) = 0."""
+    nz = p[p > 0.0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
 @dataclass(frozen=True)
 class WaveletChoice:
     """Outcome of automatic mother-wavelet selection."""
@@ -210,9 +216,7 @@ def detail_energy_entropy_ratio(samples, wavelet_name: str, depth: int) -> float
     if energy <= 0.0:
         raise DegenerateSignalError(
             "all detail coefficients are zero; cannot score mother wavelets")
-    p = details * details / energy
-    nz = p[p > 0.0]
-    entropy = float(-np.sum(nz * np.log(nz)))
+    entropy = shannon_entropy(details * details / energy)
     if entropy == 0.0:
         return float("inf")
     return energy / entropy

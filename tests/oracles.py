@@ -274,3 +274,57 @@ def kkt_violation(model, rows, labels):
             worst = max(worst, margin - 1.0)
     assert sv == len(model.alphas), "support vectors are not an ordered subset of the rows"
     return worst
+
+
+def catalog_reference(x):
+    """The statistical catalog one statistic at a time, in the package's
+    earlier per-statistic form (each recomputes its own mean, moments and
+    extremes).  The float operations are the same as the one-pass form's, so
+    the two must agree bit for bit.  Returns ``{name: value}``.
+    """
+    def moments():
+        mu = float(np.mean(x))
+        d = x - mu
+        return (float(np.mean(d * d)), float(np.mean(d ** 3)), float(np.mean(d ** 4)))
+
+    def skewness():
+        m2, m3, _ = moments()
+        return 0.0 if m2 < 1e-24 else m3 / m2 ** 1.5
+
+    def kurtosis():
+        m2, _, m4 = moments()
+        return 0.0 if m2 < 1e-24 else m4 / (m2 * m2) - 3.0
+
+    def hist_entropy():
+        lo, hi = float(np.min(x)), float(np.max(x))
+        if hi <= lo:
+            return 0.0
+        counts, _ = np.histogram(x, bins=16, range=(lo, hi))
+        p = counts[counts > 0] / x.size
+        return float(-np.sum(p * np.log(p)))
+
+    short = x.size < 2
+    return {
+        "mean": float(np.mean(x)),
+        "std": float(np.std(x)),
+        "variance": float(np.var(x)),
+        "skewness": skewness(),
+        "kurtosis": kurtosis(),
+        "rms": float(np.sqrt(np.mean(x * x))),
+        "min": float(np.min(x)),
+        "max": float(np.max(x)),
+        "range": float(np.max(x) - np.min(x)),
+        "median": float(np.median(x)),
+        "iqr": float(np.percentile(x, 75) - np.percentile(x, 25)),
+        "mad": float(np.mean(np.abs(x - np.mean(x)))),
+        "zero_crossing_rate": 0.0 if short else
+        float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1),
+        "line_length": 0.0 if short else float(np.sum(np.abs(np.diff(x)))),
+        "hist_entropy": hist_entropy(),
+    }
+
+
+def entropy_reference(p):
+    """``-sum(p log p)`` over the nonzero entries, in the earlier inline form."""
+    nz = p[p > 0.0]
+    return float(-np.sum(nz * np.log(nz)))

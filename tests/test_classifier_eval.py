@@ -27,6 +27,8 @@ class TestEvalConfig:
         {"degree": 0}, {"degree": 2.5}, {"degree": "3"},
         {"coef0": float("nan")}, {"coef0": float("-inf")},
         {"positive_class": "1"}, {"positive_class": 1.0},
+        {"coef0": "1"}, {"coef0": True}, {"c_grid": ["1"]}, {"c_grid": [True]},
+        {"c_grid": "1"}, {"kernels": "rbf"},
     ])
     def test_bad_kernel_settings_rejected(self, bad):
         with pytest.raises(ConfigError):

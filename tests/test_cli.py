@@ -190,6 +190,41 @@ class TestRejectBeforeCompute:
         assert run_cli("baseline-pca", planted_manifest, "--config", config, *flags,
                        "--out", tmp_path / "runs") == 2
 
+    @pytest.fixture
+    def no_loading(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_dataset must not run")
+
+        monkeypatch.setattr(cli, "load_dataset", fail)
+
+    @pytest.mark.parametrize("argv", [
+        ["recommend", "--seed", "1", "--folds", "4"],
+        ["recommend", "--seed", "1", "--folds", "11"],
+        ["recommend", "--seed", "-1"],
+        ["extract", "--max-level", "3"],
+        ["extract", "--max-level", "-1"],
+        ["baseline-pca", "--folds", "4"],
+    ])
+    def test_bad_flag_exits_2_before_reading_signals(self, planted_manifest, tmp_path,
+                                                      no_loading, argv):
+        command, *flags = argv
+        assert run_cli(command, planted_manifest, *flags, "--out", tmp_path / "runs") == 2
+
+    @pytest.mark.parametrize("command, config_value", [
+        ("recommend", {**FAST_RECOMMEND, "tau": "0.9"}),
+        ("recommend", {**FAST_RECOMMEND, "seed": "5"}),
+        ("recommend", {**FAST_RECOMMEND, "extraction": {"dwt": {"bank": "db4"}}}),
+        ("extract", {"max_level": 1.0}),
+        ("extract", {"stft": {"window": 256.5}}),
+    ])
+    def test_bad_config_number_exits_2_before_reading_signals(
+            self, planted_manifest, tmp_path, no_loading, command, config_value, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_value))
+        assert run_cli(command, planted_manifest, "--config", config,
+                       "--out", tmp_path / "runs") == 2
+        assert "must" in capsys.readouterr().err
+
     def test_internal_value_error_propagates(self, planted_manifest, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from oracles import catalog_reference, entropy_reference
 from widefeat.dataset import MIN_SAMPLES, SignalRecord
 from widefeat.errors import ConfigError
-from widefeat.feature_bank import (ExtractionConfig, build_feature_matrix,
-                                   choose_dataset_wavelet, describe, extract_level0,
-                                   extract_level1, extract_level2, parse_lineage_path)
-from widefeat.wavelets import WAVELET_BANK
+from widefeat.feature_bank import (STAT_NAMES, ExtractionConfig, _statistics,
+                                   build_feature_matrix, choose_dataset_wavelet, describe,
+                                   extract_level0, extract_level1, extract_level2,
+                                   parse_lineage_path)
+from widefeat.wavelets import WAVELET_BANK, dwt_decompose, shannon_entropy
 
 
 def record_from(samples, rate=100.0, label=0, rid="r"):
@@ -107,6 +109,66 @@ class TestLevel1:
         assert frag_value(frag, ("time", "peak_count")) == 8.0
         interval = frag_value(frag, ("time", "peak_interval_mean_s"))
         assert abs(interval - 0.5) < 0.02
+
+
+def _catalog_fixtures():
+    rng = np.random.default_rng(41)
+    noisy = np.sin(np.arange(2500) * 0.05) + 0.3 * rng.standard_normal(2500)
+    fixtures = {
+        # on most random arrays d ** 3 and d * d * d differ in the last bit
+        "normal_2500": rng.standard_normal(2500),
+        "scaled_shifted_777": 3e-3 * rng.standard_normal(777) + 0.5,
+        "large_64": 1e3 * rng.standard_normal(64) - 2.0,
+        "uniform_1001": rng.uniform(-1.0, 4.0, 1001),
+        "band_detail1": dwt_decompose(noisy, "db4", 4)[-1],
+        "diff2": np.diff(noisy, n=2),
+        # np.median and the 50th percentile differ in the last bit here
+        "median_apart_100": np.random.default_rng(2).standard_normal(100),
+        "constant": np.full(50, 2.5),
+        "one_sample": np.array([0.7]),
+        "two_samples": np.array([1.0, -2.0]),
+        "plateau": np.repeat([1.0, 2.0, 2.0, 3.0, 3.0, 3.0], 17),
+        "ramp": np.arange(100.0),
+        # variances just below and just above _VAR_FLOOR (1e-24)
+        "below_var_floor": 0.8e-12 * rng.standard_normal(300) + 1.0e-3,
+        "above_var_floor": 1.2e-12 * rng.standard_normal(300),
+    }
+    return fixtures
+
+
+_FIXTURES = _catalog_fixtures()
+
+
+class TestStatistics:
+    """``_statistics`` must equal the per-statistic forms bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_FIXTURES))
+    def test_bitwise_equal_to_reference(self, name):
+        x = _FIXTURES[name]
+        reference = catalog_reference(x)
+        got = dict(zip(STAT_NAMES, _statistics(x)))
+        assert list(got) == list(reference) and len(_statistics(x)) == len(STAT_NAMES)
+        for stat in STAT_NAMES:
+            assert np.float64(got[stat]).tobytes() == np.float64(reference[stat]).tobytes(), \
+                (stat, got[stat], reference[stat])
+
+    def test_floor_fixtures_straddle_the_floor(self):
+        assert float(np.var(_FIXTURES["below_var_floor"])) < 1e-24
+        assert float(np.var(_FIXTURES["above_var_floor"])) > 1e-24
+        assert _statistics(_FIXTURES["below_var_floor"])[STAT_NAMES.index("skewness")] == 0.0
+        assert _statistics(_FIXTURES["above_var_floor"])[STAT_NAMES.index("skewness")] != 0.0
+
+    def test_entropy_bitwise_equal_to_inline_form(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 17, 400):
+            w = rng.uniform(size=n)
+            w[rng.uniform(size=n) < 0.3] = 0.0
+            if w.sum() == 0.0:
+                w[0] = 1.0
+            p = w / w.sum()
+            got, want = shannon_entropy(p), entropy_reference(p)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert shannon_entropy(np.array([0.0, 1.0, 0.0])) == 0.0
 
 
 class TestLevel2:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -91,10 +93,56 @@ class TestConfig:
         {"evaluation": {"degree": 0}},
         {"evaluation": {"coef0": float("nan")}},
         {"evaluation": {"positive_class": "1"}},
+        {"tau": True},
+        {"tau": "0.9"},
+        {"c": 2.7},
+        {"c": True},
+        {"k_schedule": [2.5]},
+        {"k_schedule": [True]},
+        {"evaluation": {"coef0": "1"}},
+        {"evaluation": {"c_grid": ["1"]}},
+        {"evaluation": {"c_grid": 1.0}},
+        {"evaluation": {"kernels": "rbf"}},
+        {"selector": {"mrms": {"beta": "0.5"}}},
+        {"extraction": {"stft": {"window": 256.5}}},
+        {"extraction": {"stft": {"window": 256.0}}},
+        {"extraction": {"stft": {"hop": "128"}}},
+        {"extraction": {"dwt": {"bank": "db4"}}},
+        {"extraction": {"dwt": {"depth": 4.0}}},
+        {"extraction": {"peaks": {"prominence_frac": "0.1"}}},
+        {"extraction": {"peaks": {"min_separation_frac": False}}},
+        {"p": 4},
+        {"p": 11},
+        {"p": 5.0},
+        {"seed": -1},
+        {"seed": "1"},
+        {"seed": 1.5},
+        {"max_level_cap": 1.0},
+        {"max_level_cap": True},
     ])
     def test_bad_values_raise_config_error(self, raw):
         with pytest.raises(ConfigError):
             RecommendConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"extraction": {"dwt": {"bank": "db4"}}}, "dwt.bank"),
+        ({"evaluation": {"kernels": "rbf"}}, "evaluation.kernels"),
+        ({"k_schedule": "5,10"}, "k_schedule"),
+    ])
+    def test_string_for_list_names_the_key(self, raw, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            RecommendConfig.from_dict(raw)
+
+    def test_json_integers_load_as_floats(self):
+        config = RecommendConfig.from_dict({
+            "tau": 1, "selector": {"mrms": {"beta": 1}},
+            "extraction": {"peaks": {"prominence_frac": 0, "min_separation_frac": 0}},
+            "evaluation": {"c_grid": [1, 10], "coef0": 0}})
+        floats = [config.tau, config.selector.mrms_beta, config.extraction.peak_prominence_frac,
+                  config.extraction.peak_min_separation_frac, config.evaluation.coef0,
+                  *config.evaluation.c_grid]
+        assert all(type(v) is float for v in floats)
+        assert RecommendConfig.from_dict(config.to_dict()) == config
 
     def test_non_binary_labels_rejected_before_extraction(self, monkeypatch):
         def no_extraction(*args, **kwargs):
