@@ -1,7 +1,8 @@
 """widefeat: hierarchical feature bank + dual-selector feature recommendation
 for labeled 1-D sensor time series."""
 
-from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, pca_baseline
+from .classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set, pca_baseline,
+                              score_test_rows)
 from .dataset import (DatasetManifest, FoldPlan, SignalRecord, fold_roles, load_dataset,
                       load_manifest, make_folds)
 from .errors import (ConfigError, DegenerateSignalError, LoadError, RunError,

@@ -8,7 +8,7 @@ nothing to any choice and are scored only when test metrics are requested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,16 +93,7 @@ class FoldOutcome:
     feature_ids: tuple[int, ...]
     kernel: str
     failed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "eval": self.eval_report.as_dict() if self.eval_report else None,
-            "test": self.test_report.as_dict() if self.test_report else None,
-            "feature_ids": list(self.feature_ids),
-            "kernel": self.kernel,
-            "failed": self.failed,
-        }
+    model: SvmModel | None = field(default=None, repr=False, compare=False)
 
 
 def _positive_class(labels: np.ndarray, config: EvalConfig) -> int:
@@ -111,32 +102,51 @@ def _positive_class(labels: np.ndarray, config: EvalConfig) -> int:
     return int(np.max(labels))
 
 
-def _fit_best_model(x_train, y_train, x_eval, y_eval, config: EvalConfig,
-                    specs: list[KernelSpec], positive: int) -> tuple[SvmModel, str, MetricReport]:
+def _fit_fold(plan: FoldPlan, fold: int, rows, labels, config: EvalConfig,
+              specs: list[KernelSpec], positive: int, feature_ids: tuple[int, ...],
+              kernel_prefix: str = "") -> FoldOutcome:
+    """Fit every kernel/C pair on the fold's train rows; the best evaluation-row
+    metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
+    A training set holding a single class marks the fold failed."""
+    train_idx, eval_idx, _ = fold_roles(plan, fold)
+    x_train, y_train = rows(train_idx), labels[train_idx]
+    x_eval, y_eval = rows(eval_idx), labels[eval_idx]
     best = None
-    for spec in specs:
-        for c in config.c_grid:
-            model = svm_train(
-                x_train, y_train, kernel=spec, c=c,
-                class_weights=config.class_weight_mode,
-                positive_label=positive)
-            report = compute_metrics(svm_predict(model, x_eval), y_eval, positive)
-            score = report.value(config.metric)
-            if best is None or score > best[0]:
-                best = (score, model, f"{spec.kind}(C={c:g})", report)
+    try:
+        for spec in specs:
+            for c in config.c_grid:
+                model = svm_train(
+                    x_train, y_train, kernel=spec, c=c,
+                    class_weights=config.class_weight_mode,
+                    positive_label=positive)
+                report = compute_metrics(svm_predict(model, x_eval), y_eval, positive)
+                score = report.value(config.metric)
+                if best is None or score > best[0]:
+                    best = (score, model, f"{spec.kind}(C={c:g})", report)
+    except TrainingError:
+        return FoldOutcome(fold=fold, eval_report=None, test_report=None,
+                           feature_ids=feature_ids, kernel="", failed=True)
     _, model, name, report = best
-    return model, name, report
+    return FoldOutcome(fold=fold, eval_report=report, test_report=None,
+                       feature_ids=feature_ids, kernel=kernel_prefix + name, model=model)
 
 
-def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: EvalConfig,
-                         include_test: bool = True, test_row_mutator=None) -> list[FoldOutcome]:
+def _with_test_report(outcome: FoldOutcome, test_rows, test_labels,
+                      positive: int) -> FoldOutcome:
+    if outcome.failed:
+        return outcome
+    report = compute_metrics(svm_predict(outcome.model, test_rows), test_labels, positive)
+    return replace(outcome, test_report=report)
+
+
+def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
+                         config: EvalConfig) -> list[FoldOutcome]:
     """Train and score an SVM on the given feature columns for every fold.
 
-    The kernel/C pair with the best evaluation-row metric wins each fold.
-    ``test_row_mutator``, when given, transforms the test-row submatrix right
-    before test scoring; it exists so callers can verify that test rows never
-    influence anything but the reported test metrics.  Folds whose training
-    rows hold a single class are marked failed and skipped.
+    The kernel/C pair with the best evaluation-row metric wins each fold, and
+    its model is kept on the outcome.  Test rows are never read: the
+    outcomes carry no test report until :func:`score_test_rows` adds one.
+    Folds whose training rows hold a single class are marked failed.
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
@@ -145,31 +155,30 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: Ev
         raise ValueError(f"feature ids {feature_ids} outside matrix columns")
     positive = _positive_class(labels, config)
     specs = [spec.resolve(len(feature_ids)) for spec in config.kernel_specs()]
-    sub = values[:, feature_ids]
+    return [_fit_fold(plan, fold, lambda idx: values[np.ix_(idx, feature_ids)], labels,
+                      config, specs, positive, feature_ids)
+            for fold in range(plan.p)]
 
-    outcomes = []
-    for fold in range(plan.p):
-        train_idx, eval_idx, test_idx = fold_roles(plan, fold)
-        try:
-            model, kernel_name, eval_report = _fit_best_model(
-                sub[train_idx], labels[train_idx], sub[eval_idx], labels[eval_idx],
-                config, specs, positive)
-        except TrainingError:
-            outcomes.append(FoldOutcome(
-                fold=fold, eval_report=None, test_report=None,
-                feature_ids=feature_ids, kernel="", failed=True))
-            continue
-        test_report = None
-        if include_test:
-            test_rows = sub[test_idx]
-            if test_row_mutator is not None:
-                test_rows = np.asarray(test_row_mutator(test_rows), dtype=float)
-            test_report = compute_metrics(
-                svm_predict(model, test_rows), labels[test_idx], positive)
-        outcomes.append(FoldOutcome(
-            fold=fold, eval_report=eval_report, test_report=test_report,
-            feature_ids=feature_ids, kernel=kernel_name))
-    return outcomes
+
+def score_test_rows(outcomes, matrix, labels, plan: FoldPlan, config: EvalConfig,
+                    test_row_mutator=None) -> list[FoldOutcome]:
+    """Return ``outcomes`` with each fold's test rows scored by its kept model.
+
+    ``test_row_mutator``, when given, transforms the test-row submatrix right
+    before scoring; it exists so callers can verify that test rows never
+    influence anything but the reported test metrics.
+    """
+    values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+    labels = np.asarray(labels)
+    positive = _positive_class(labels, config)
+    scored = []
+    for outcome in outcomes:
+        test_idx = fold_roles(plan, outcome.fold)[2]
+        test_rows = values[np.ix_(test_idx, outcome.feature_ids)]
+        if test_row_mutator is not None:
+            test_rows = np.asarray(test_row_mutator(test_rows), dtype=float)
+        scored.append(_with_test_report(outcome, test_rows, labels[test_idx], positive))
+    return scored
 
 
 def fit_pca(train_std: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,20 +205,18 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
 
     The projection is fit on standardized train rows only; C is still chosen
     on the evaluation rows so the comparison against selected-feature runs is
-    fair.
+    fair.  Each fold's test rows are scored once its model is chosen.
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
     positive = _positive_class(labels, config)
     spec = KernelSpec(kind=kernel, gamma=config.gamma, degree=config.degree,
                       coef0=config.coef0).resolve(n_components)
+    all_ids = tuple(range(values.shape[1]))
 
     outcomes = []
     for fold in range(plan.p):
-        train_idx, eval_idx, test_idx = fold_roles(plan, fold)
-        if n_components > min(train_idx.size, values.shape[1]):
-            raise ValueError(
-                f"n_components={n_components} exceeds fold {fold} train size or column count")
+        train_idx, _, test_idx = fold_roles(plan, fold)
         mean = values[train_idx].mean(axis=0)
         std = values[train_idx].std(axis=0)
         std = np.where(std > 0.0, std, 1.0)
@@ -218,19 +225,8 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
         def project(idx):
             return ((values[idx] - mean) / std) @ components.T
 
-        try:
-            model, kernel_name, eval_report = _fit_best_model(
-                project(train_idx), labels[train_idx], project(eval_idx), labels[eval_idx],
-                config, [spec], positive)
-        except TrainingError:
-            outcomes.append(FoldOutcome(
-                fold=fold, eval_report=None, test_report=None,
-                feature_ids=tuple(range(values.shape[1])), kernel="", failed=True))
-            continue
-        test_report = compute_metrics(
-            svm_predict(model, project(test_idx)), labels[test_idx], positive)
-        outcomes.append(FoldOutcome(
-            fold=fold, eval_report=eval_report, test_report=test_report,
-            feature_ids=tuple(range(values.shape[1])),
-            kernel=f"pca{n_components}+{kernel_name}"))
+        outcome = _fit_fold(plan, fold, project, labels, config, [spec], positive, all_ids,
+                            kernel_prefix=f"pca{n_components}+")
+        outcomes.append(_with_test_report(outcome, project(test_idx), labels[test_idx],
+                                          positive))
     return outcomes

@@ -21,7 +21,8 @@ import numpy as np
 
 from .classifier_eval import pca_baseline
 from .dataset import fold_roles, load_dataset, load_manifest, make_folds
-from .errors import ConfigError, RunError, WidefeatError, require_int
+from .errors import (ConfigError, RunError, WidefeatError, known_keys, list_setting,
+                     require_int)
 from .feature_bank import MAX_LEVEL, ExtractionConfig, build_feature_matrix
 from .metrics import METRIC_NAMES
 from .recommender import RecommendConfig, interpret, recommend
@@ -186,13 +187,15 @@ def cmd_baseline_pca(args) -> int:
     if args.folds is not None:
         raw["p"] = args.folds
     config = RecommendConfig.from_dict(raw)
-    pca_raw = raw.get("pca", {})
+    pca_raw = known_keys(raw.get("pca", {}), "grid kernel", "pca")
     try:
-        grid = [int(n) for n in (args.components.split(",") if args.components
-                                 else pca_raw.get("grid", (5, 10, 15)))]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed pca component grid: {exc}") from exc
-    kernel = str(pca_raw.get("kernel", "rbf"))
+        grid = ([int(n) for n in args.components.split(",")] if args.components
+                else list_setting(pca_raw.get("grid", (5, 10, 15)), "pca.grid"))
+    except ValueError:
+        raise ConfigError(f"--components must be integers, got {args.components!r}") from None
+    for n in grid:
+        require_int(n, "every pca.grid entry", 1)
+    kernel = pca_raw.get("kernel", "rbf")
     if kernel not in KERNEL_KINDS:
         raise ConfigError(f"pca kernel must be one of {KERNEL_KINDS}, got {kernel!r}")
 

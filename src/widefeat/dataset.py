@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LoadError, ValidationError, require_int
+from .errors import ConfigError, LoadError, ValidationError, is_int, is_real, require_int
 
 MIN_SAMPLES = 16
 MIN_FOLDS, MAX_FOLDS = 5, 10
@@ -107,13 +107,21 @@ def load_manifest(path) -> DatasetManifest:
             p = Path(item["path"])
             if not p.is_absolute():
                 p = path.parent / p
+            if not is_int(item["label"]):
+                raise TypeError(f"record label must be an integer, got {item['label']!r}")
             entries.append(ManifestEntry(
                 path=p, label=int(item["label"]), id=str(item.get("id", p.stem))))
+        class_names = raw["class_names"]
+        if not (isinstance(class_names, list) and all(isinstance(c, str) for c in class_names)):
+            raise TypeError(f"class_names must be a list of strings, got {class_names!r}")
+        rate = raw.get("sample_rate_hz")
+        if rate is not None and not is_real(rate):
+            raise TypeError(f"sample_rate_hz must be a number, got {rate!r}")
         manifest = DatasetManifest(
             records=tuple(entries),
             format=str(raw["format"]),
-            class_names=tuple(str(c) for c in raw["class_names"]),
-            sample_rate_hz=float(raw["sample_rate_hz"]) if "sample_rate_hz" in raw else None,
+            class_names=tuple(class_names),
+            sample_rate_hz=None if rate is None else float(rate),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"manifest {path} is malformed: {exc}") from exc

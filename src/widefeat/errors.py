@@ -37,6 +37,8 @@ class RunError(WidefeatError):
 
 def known_keys(raw: dict, names: str, where: str) -> dict:
     """Return config block ``raw`` after checking it sets only the space-separated ``names``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} settings must be a JSON object, got {raw!r}")
     unknown = sorted(set(raw) - set(names.split()))
     if unknown:
         raise ConfigError(f"unknown {where} setting(s) {unknown}; known: {names.split()}")

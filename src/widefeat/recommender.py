@@ -5,9 +5,12 @@ run once per fold, on that fold's train+eval rows, up to the largest k in the
 schedule.  Each k in the schedule then takes the first k picks of those runs
 (a greedy selector updates its sums only after a pick, so the prefix equals a
 run stopped at k); their union forms a candidate set, and candidates are
-scored on evaluation rows across all folds.  The first candidate meeting the
-target metric in every fold stops the loop, so cheap features win whenever
-they suffice.  Test rows stay untouched until the final sets are frozen.
+scored on evaluation rows across all folds; each distinct id tuple is
+evaluated once per run, however many steps propose it.  The first candidate
+meeting the target metric in every fold stops the loop, so cheap features win
+whenever they suffice.  Test rows stay untouched until Fe1 and Fe2 are
+frozen; their test metrics then come from the fold models kept by the
+evaluation pass, with no refit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier_eval import EvalConfig, evaluate_feature_set
+from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, score_test_rows
 from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, fold_roles, make_folds
 from .errors import (ConfigError, RunError, ValidationError, is_real, known_keys, list_setting,
                      real_setting, require_int)
@@ -226,13 +229,8 @@ class Recommendation:
             fh.write("\n")
 
 
-def _fold_eval_metrics(matrix, labels, ids, plan, eval_config, mutator=None,
-                       include_test=False):
-    outcomes = evaluate_feature_set(matrix, labels, ids, plan, eval_config,
-                                    include_test=include_test, test_row_mutator=mutator)
-    metrics = tuple(
-        None if o.failed else o.eval_report.value(eval_config.metric) for o in outcomes)
-    return outcomes, metrics
+def _eval_metrics(outcomes: list[FoldOutcome], metric: str) -> tuple[float | None, ...]:
+    return tuple(None if o.failed else o.eval_report.value(metric) for o in outcomes)
 
 
 def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
@@ -252,8 +250,9 @@ def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
     ranked = []
     for mask in range(1, 1 << len(base)):
         ids = tuple(base[i] for i in range(len(base)) if mask >> i & 1)
-        _, metrics = _fold_eval_metrics(matrix, labels, ids, plan, eval_config)
-        cand = CandidateEval(ids=ids, source_folds=[], eval_metrics=metrics)
+        outcomes = evaluate_feature_set(matrix, labels, ids, plan, eval_config)
+        cand = CandidateEval(ids=ids, source_folds=[],
+                             eval_metrics=_eval_metrics(outcomes, eval_config.metric))
         evaluations.append({"ids": list(ids), "min_metric": cand.min_eval,
                             "mean_metric": cand.mean_eval})
         ranked.append(((-cand.min_eval, -cand.mean_eval, len(ids), ids), ids))
@@ -267,7 +266,8 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
     Fe1 is the candidate scoring the single best evaluation metric in any
     fold; Fe2 maximizes the minimum metric across folds (ties: higher mean,
     smaller k, lower level, earlier discovery).  Test metrics are attached
-    once, at the very end, for Fe1 and Fe2 only.
+    once, at the very end, for Fe1 and Fe2 only, from the fold models their
+    evaluation kept.
     """
     records = list(records)
     labels = np.asarray([r.label for r in records])
@@ -285,6 +285,7 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
         train_idx, eval_idx, _ = fold_roles(plan, fold)
         fold_rows.append(np.sort(np.concatenate([train_idx, eval_idx])))
 
+    outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # per exact ids tuple
     trace: list[TraceStep] = []
     target_met = False
     level_reached = config.max_level_cap
@@ -298,42 +299,32 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
             sub_labels = labels[rows]
             top.append((mrmr_select(sub, sub_labels, k_top, config.selector.mrmr_objective),
                         mrms_select(sub, sub_labels, k_top, config.selector.mrms_beta)))
-        tried_k: set[int] = set()
-        for k_raw in config.k_schedule:
-            k = min(k_raw, n_cols)
-            if k in tried_k:
-                continue
-            tried_k.add(k)
+        for k in dict.fromkeys(min(k_raw, n_cols) for k_raw in config.k_schedule):
             selections = []
             for fold, (x_top, y_top) in enumerate(top):
                 x, y = x_top.prefix(k), y_top.prefix(k)
                 selections.append(FoldSelection(
                     fold=fold, mrmr=x, mrms=y, union=union_recommend(x, y, k)))
 
-            candidates: list[CandidateEval] = []
-            by_set: dict[frozenset, CandidateEval] = {}
+            by_set: dict[frozenset, CandidateEval] = {}  # the first union of each id set
             for sel in selections:
-                key = frozenset(sel.union)
-                if key in by_set:
-                    by_set[key].source_folds.append(sel.fold)
-                else:
-                    cand = CandidateEval(ids=sel.union, source_folds=[sel.fold])
-                    by_set[key] = cand
-                    candidates.append(cand)
+                by_set.setdefault(frozenset(sel.union), CandidateEval(
+                    ids=sel.union, source_folds=[])).source_folds.append(sel.fold)
+            candidates = list(by_set.values())
             for cand in candidates:
-                _, metrics = _fold_eval_metrics(matrix, labels, cand.ids, plan,
-                                                config.evaluation)
-                cand.eval_metrics = metrics
-                cand.passed = all(v is not None and v >= config.tau for v in metrics)
+                if cand.ids not in outcomes:
+                    outcomes[cand.ids] = evaluate_feature_set(matrix, labels, cand.ids, plan,
+                                                              config.evaluation)
+                cand.eval_metrics = _eval_metrics(outcomes[cand.ids], config.metric)
+                cand.passed = all(v is not None and v >= config.tau for v in cand.eval_metrics)
 
             step = TraceStep(level=level, k=k, selections=selections, candidates=candidates)
+            trace.append(step)
             if any(c.passed for c in candidates):
                 step.decision = "stop"
-                trace.append(step)
                 target_met = True
                 level_reached = level
                 break
-            trace.append(step)
         if target_met:
             break
 
@@ -350,17 +341,14 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
             best_fold=best_fold, best_eval_metric=best_value,
             min_eval=cand.min_eval, mean_eval=cand.mean_eval)
 
-    fe1_step, fe1_cand = max(scored, key=lambda sc: max(
-        v for v in sc[1].eval_metrics if v is not None))
-    fe1 = build_set(fe1_step, fe1_cand)
+    fe1 = build_set(*max(scored, key=lambda sc: max(
+        v for v in sc[1].eval_metrics if v is not None)))
 
     def fe2_key(sc):
         step, cand = sc
         return (cand.min_eval, cand.mean_eval, -step.k, -step.level)
 
-    best_key = max(fe2_key(sc) for sc in scored)
-    fe2_step, fe2_cand = next(sc for sc in scored if fe2_key(sc) == best_key)
-    fe2 = build_set(fe2_step, fe2_cand)
+    fe2 = build_set(*max(scored, key=fe2_key))
 
     refined = None
     if config.c > 0:
@@ -373,9 +361,8 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
                 note=f"skipped: |Fe2|={len(fe2.ids)} exceeds c={config.c}")
 
     for fe in (fe1, fe2):
-        outcomes, _ = _fold_eval_metrics(matrix, labels, fe.ids, plan, config.evaluation,
-                                         mutator=test_row_mutator, include_test=True)
-        fe.test_reports = [o.test_report for o in outcomes]
+        fe.test_reports = [o.test_report for o in score_test_rows(
+            outcomes[fe.ids], matrix, labels, plan, config.evaluation, test_row_mutator)]
         vals = [r.value(config.metric) for r in fe.test_reports if r is not None]
         fe.mean_test_metric = float(np.mean(vals)) if vals else None
 

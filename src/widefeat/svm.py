@@ -90,13 +90,16 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
 
     Standardization statistics come from these rows only; zero-variance
     columns standardize to constant 0.  Training stops once the KKT gap is
-    below ``tol``.  Raises :class:`TrainingError` when only one class is
-    present, or when the gap is still open after ``_MAX_ITER`` pair updates.
+    below ``tol``.  Raises :class:`TrainingError` when a row is not finite,
+    when only one class is present, or when the gap is still open after
+    ``_MAX_ITER`` pair updates.
     """
     x = np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != labels.size:
         raise ValueError("rows must be 2-D with one label per row")
+    if not np.isfinite(x).all():
+        raise TrainingError("training rows hold NaN or Inf")
     classes = np.unique(labels)
     if classes.size != 2:
         raise TrainingError(f"need exactly two classes in training rows, got {classes.tolist()}")

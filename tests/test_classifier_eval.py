@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca,
-                                      pca_baseline)
+                                      pca_baseline, score_test_rows)
 from widefeat.dataset import FoldPlan, SignalRecord, make_folds
 from widefeat.errors import ConfigError
 
@@ -46,7 +46,8 @@ class TestEvaluateFeatureSet:
     def test_separable_feature_perfect_on_all_folds(self):
         values, labels = planted_matrix()
         plan = make_folds(records_for(labels), p=5, seed=1)
-        outcomes = evaluate_feature_set(values, labels, (2,), plan, EvalConfig())
+        outcomes = score_test_rows(evaluate_feature_set(values, labels, (2,), plan, EvalConfig()),
+                                   values, labels, plan, EvalConfig())
         assert len(outcomes) == 5
         for o in outcomes:
             assert not o.failed
@@ -59,7 +60,8 @@ class TestEvaluateFeatureSet:
         rng.shuffle(shuffled)
         plan = make_folds(records_for(shuffled), p=5, seed=2)
         config = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0,))
-        outcomes = evaluate_feature_set(values, shuffled, (0, 1, 2), plan, config)
+        outcomes = score_test_rows(evaluate_feature_set(values, shuffled, (0, 1, 2), plan, config),
+                                   values, shuffled, plan, config)
         mean_acc = np.mean([o.test_report.accuracy for o in outcomes])
         assert abs(mean_acc - 0.5) <= 0.15
 
@@ -81,12 +83,14 @@ class TestEvaluateFeatureSet:
         values, labels = planted_matrix(seed=6)
         plan = make_folds(records_for(labels), p=5, seed=4)
         config = EvalConfig(kernels=("linear",), c_grid=(1.0,))
-        baseline = evaluate_feature_set(values, labels, (0, 1, 2), plan, config)
+        baseline = score_test_rows(evaluate_feature_set(values, labels, (0, 1, 2), plan, config),
+                                   values, labels, plan, config)
         for fold in range(plan.p):
             mutated = values.copy()
             test_idx = plan.fold_indices(fold)
             mutated[test_idx] = 1e6  # garbage in that fold's test rows only
-            redo = evaluate_feature_set(mutated, labels, (0, 1, 2), plan, config)
+            redo = score_test_rows(evaluate_feature_set(mutated, labels, (0, 1, 2), plan, config),
+                                   mutated, labels, plan, config)
             assert redo[fold].kernel == baseline[fold].kernel
             assert redo[fold].eval_report.as_dict() == baseline[fold].eval_report.as_dict()
             assert redo[fold].test_report.as_dict() != baseline[fold].test_report.as_dict()
@@ -95,9 +99,10 @@ class TestEvaluateFeatureSet:
         values, labels = planted_matrix(seed=7)
         plan = make_folds(records_for(labels), p=5, seed=5)
         config = EvalConfig(kernels=("linear",), c_grid=(1.0,))
-        clean = evaluate_feature_set(values, labels, (2,), plan, config)
-        garbled = evaluate_feature_set(values, labels, (2,), plan, config,
-                                       test_row_mutator=lambda rows: rows * 0.0 - 50.0)
+        outcomes = evaluate_feature_set(values, labels, (2,), plan, config)
+        clean = score_test_rows(outcomes, values, labels, plan, config)
+        garbled = score_test_rows(outcomes, values, labels, plan, config,
+                                  test_row_mutator=lambda rows: rows * 0.0 - 50.0)
         for a, b in zip(clean, garbled):
             assert a.eval_report.as_dict() == b.eval_report.as_dict()
             assert a.kernel == b.kernel
@@ -120,7 +125,7 @@ class TestEvaluateFeatureSet:
         config = EvalConfig()
         a = evaluate_feature_set(values, labels, (0, 2), plan, config)
         b = evaluate_feature_set(values, labels, (0, 2), plan, config)
-        assert [o.to_dict() for o in a] == [o.to_dict() for o in b]
+        assert a == b
 
     def test_invalid_feature_ids(self):
         values, labels = planted_matrix()
@@ -128,14 +133,19 @@ class TestEvaluateFeatureSet:
         with pytest.raises(ValueError, match="outside matrix columns"):
             evaluate_feature_set(values, labels, (99,), plan, EvalConfig())
 
-    def test_include_test_false_leaves_reports_empty(self):
+    @pytest.mark.parametrize("garbage", [np.nan, 1e300])
+    def test_test_rows_never_read(self, garbage):
         values, labels = planted_matrix()
         plan = make_folds(records_for(labels), p=5, seed=0)
-        outcomes = evaluate_feature_set(values, labels, (2,), plan,
-                                        EvalConfig(kernels=("linear",), c_grid=(1.0,)),
-                                        include_test=False)
-        assert all(o.test_report is None for o in outcomes)
-        assert all(o.eval_report is not None for o in outcomes)
+        config = EvalConfig()
+        clean = evaluate_feature_set(values, labels, (0, 2), plan, config)
+        assert all(o.eval_report is not None for o in clean)
+        for fold in range(plan.p):
+            garbled = values.copy()
+            garbled[plan.fold_indices(fold)] = garbage  # this fold's test rows only
+            with np.errstate(all="ignore"):  # the other folds train and tune on them
+                redo = evaluate_feature_set(garbled, labels, (0, 2), plan, config)
+            assert redo[fold] == clean[fold]
 
 
 class TestPca:
@@ -147,8 +157,8 @@ class TestPca:
         plan = make_folds(records_for(labels), p=5, seed=7)
         config = EvalConfig(kernels=("rbf",), c_grid=(1.0, 10.0))
         pca1 = pca_baseline(values, labels, plan, 1, config)
-        full = evaluate_feature_set(values, labels, tuple(range(8)), plan,
-                                    EvalConfig(kernels=("rbf",), c_grid=(1.0, 10.0)))
+        full = score_test_rows(evaluate_feature_set(values, labels, tuple(range(8)), plan, config),
+                               values, labels, plan, config)
         acc1 = np.mean([o.test_report.accuracy for o in pca1])
         acc_full = np.mean([o.test_report.accuracy for o in full])
         assert acc1 == pytest.approx(acc_full)

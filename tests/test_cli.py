@@ -225,6 +225,18 @@ class TestRejectBeforeCompute:
                        "--out", tmp_path / "runs") == 2
         assert "must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pca", [
+        {"grid": [2.9, 3.5]}, {"grid": [0]}, {"grid": ["5"]}, {"grid": [True]}, {"grid": 5},
+        {"kernel": 1}, {"kernel": ["rbf"]}, {"components": [5]}, [5],
+    ])
+    def test_bad_pca_block_exits_2_before_reading_signals(
+            self, planted_manifest, tmp_path, no_loading, pca, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**FAST_RECOMMEND, "pca": pca}))
+        assert run_cli("baseline-pca", planted_manifest, "--config", config,
+                       "--out", tmp_path / "runs") == 2
+        assert "pca" in capsys.readouterr().err
+
     def test_internal_value_error_propagates(self, planted_manifest, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")

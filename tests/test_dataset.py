@@ -167,6 +167,25 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="binary"):
             _manifest(tmp_path, records, class_names=("a", "b", "c"))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["records"][0].update(label=1.7), "label"),
+        (lambda m: m["records"][0].update(label=True), "label"),
+        (lambda m: m["records"][0].update(label="1"), "label"),
+        (lambda m: m.update(sample_rate_hz="200"), "sample_rate_hz"),
+        (lambda m: m.update(sample_rate_hz=True), "sample_rate_hz"),
+        (lambda m: m.update(class_names="ab"), "class_names"),
+        (lambda m: m.update(class_names=["a", 2]), "class_names"),
+    ])
+    def test_mistyped_manifest_value_rejected(self, tmp_path, edit, message):
+        records = [SignalRecord(id=f"r{i}", samples=np.arange(16.0) + i, sample_rate_hz=10.0,
+                                label=i % 2) for i in range(4)]
+        path = write_csv_dataset(tmp_path, records, 10.0, ("a", "b"))
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=message):
+            load_manifest(path)
+
 
 def _records(labels):
     return [SignalRecord(id=f"r{i}", samples=np.arange(16, dtype=float) + i,

@@ -3,15 +3,18 @@ import re
 import numpy as np
 import pytest
 
+import widefeat.classifier_eval as classifier_eval_module
 import widefeat.recommender as recommender_module
 from conftest import amplitude_shape_records, sine_records
-from widefeat.classifier_eval import EvalConfig, FoldOutcome
+from widefeat.classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set,
+                                      score_test_rows)
 from widefeat.dataset import fold_roles, make_folds, SignalRecord
 from widefeat.errors import ConfigError, RunError, ValidationError
 from widefeat.feature_bank import parse_lineage_path
 from widefeat.recommender import (RecommendConfig, exhaustive_refine, interpret,
                                   recommend)
 from widefeat.selector import mrmr_select, mrms_select, union_recommend
+from widefeat.svm import svm_train
 
 FAST_EVAL = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0, 10.0))
 
@@ -238,8 +241,7 @@ class TestTraceAndSets:
             assert clean.fe1.test_reports[0].as_dict() != garbled.fe1.test_reports[0].as_dict()
 
     def test_all_folds_failed_raises_run_error(self, monkeypatch):
-        def all_failed(matrix, labels, ids, plan, config, include_test=True,
-                       test_row_mutator=None):
+        def all_failed(matrix, labels, ids, plan, config):
             return [FoldOutcome(fold=f, eval_report=None, test_report=None,
                                 feature_ids=tuple(ids), kernel="", failed=True)
                     for f in range(plan.p)]
@@ -248,6 +250,39 @@ class TestTraceAndSets:
         with pytest.raises(RunError) as excinfo:
             recommend(energy_split_records(), fast_config())
         assert excinfo.value.trace
+
+
+class TestEvaluationOncePerSet:
+    def test_each_ids_tuple_evaluated_once(self, monkeypatch):
+        evaluated, fits = [], []
+
+        def counted_evaluate(matrix, labels, ids, *args, **kwargs):
+            evaluated.append(tuple(ids))
+            return evaluate_feature_set(matrix, labels, ids, *args, **kwargs)
+
+        def counted_train(*args, **kwargs):
+            fits.append(1)
+            return svm_train(*args, **kwargs)
+
+        monkeypatch.setattr(recommender_module, "evaluate_feature_set", counted_evaluate)
+        monkeypatch.setattr(classifier_eval_module, "svm_train", counted_train)
+        config = fast_config(tau=1.01, k_schedule=(4, 16))
+        rec = recommend(energy_split_records(n_records=30, n=128, seed=17), config)
+        proposed = [c.ids for s in rec.trace for c in s.candidates]
+        assert len(set(proposed)) < len(proposed)  # fixture sanity: a set is proposed twice
+        assert sorted(evaluated) == sorted(set(proposed))
+        grid = len(FAST_EVAL.kernels) * len(FAST_EVAL.c_grid)
+        assert len(fits) == config.p * grid * len(evaluated)
+
+    def test_test_reports_equal_a_refit(self):
+        records = energy_split_records(seed=23)
+        config = fast_config(tau=1.01, k_schedule=(5,))
+        rec = recommend(records, config)
+        labels = np.array([r.label for r in records])
+        for fe in (rec.fe1, rec.fe2):
+            refit = evaluate_feature_set(rec.matrix, labels, fe.ids, rec.plan, config.evaluation)
+            scored = score_test_rows(refit, rec.matrix, labels, rec.plan, config.evaluation)
+            assert fe.test_reports == [o.test_report for o in scored]
 
 
 class TestSelectionOncePerFold:
@@ -302,9 +337,9 @@ class TestRefinement:
     def test_noise_feature_dropped(self):
         values, labels, plan = refinement_fixture(seed=19)
         ec = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0, 10.0))
-        from widefeat.recommender import _fold_eval_metrics
-        _, with_noise = _fold_eval_metrics(values, labels, (0, 1), plan, ec)
-        _, alone = _fold_eval_metrics(values, labels, (0,), plan, ec)
+        with_noise, alone = ([o.eval_report.accuracy
+                              for o in evaluate_feature_set(values, labels, ids, plan, ec)]
+                             for ids in ((0, 1), (0,)))
         assert min(with_noise) < min(alone)  # fixture sanity: noise hurts a fold
         result = exhaustive_refine(values, labels, plan, (0, 1), c=5, eval_config=ec)
         assert result.chosen_ids == (0,)

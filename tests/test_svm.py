@@ -47,6 +47,14 @@ class TestTraining:
         with pytest.raises(TrainingError, match="two classes"):
             svm_train(np.random.default_rng(0).standard_normal((10, 2)), np.zeros(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected_before_solving(self, monkeypatch, bad):
+        rows, labels = separable_blobs()
+        rows[3, 0] = bad
+        monkeypatch.setattr(svm, "_MAX_ITER", 10)  # a solve on these rows would spin to the cap
+        with pytest.raises(TrainingError, match="NaN or Inf"):
+            svm_train(rows, labels)
+
     def test_determinism(self):
         rows, labels = separable_blobs(gap=1.0, seed=5)
         a = svm_train(rows, labels, kernel=KernelSpec(kind="rbf"), c=1.0)
