@@ -157,6 +157,9 @@ def _read_wav(path: Path) -> tuple[np.ndarray, float]:
             frames = wav.readframes(wav.getnframes())
     except (OSError, wave.Error, EOFError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    if len(frames) % (width * channels):
+        raise LoadError(f"{path}: {len(frames)} bytes of sample data are not a whole number "
+                        f"of {width * channels}-byte frames; the file is truncated")
     if width == 1:
         data = np.frombuffer(frames, dtype=np.uint8).astype(np.float64)
         samples = (data - 128.0) / 128.0

@@ -7,7 +7,22 @@ fixed statistical / spectral / peak-trough catalog.  Level 2 derives guarded
 ratios of declared level-1 pairs and recomputes the statistical catalog on
 the first and second differences of the time series.  The statistical
 catalog is the ``STAT_NAMES`` tuple; ``_statistics`` computes all of it for
-one array in one pass.
+every row of a block in one pass.
+
+Extraction runs on blocks: records of equal sample count stacked into one
+(R, n) array, at most ``_STACK_BYTES`` of samples each, so memory does not
+grow with the dataset beyond the output matrix.  The wavelet vote, the DWT,
+the STFT and the catalog run once per block, and each block's values are
+written into the matrix once, at its records' rows.  Every row gets the
+bits its record would get alone in a one-row block:
+
+- reductions run along contiguous rows, which numpy sums as it would a 1-D
+  array;
+- energies are one ``np.dot`` per row, never ``(b * b).sum(1)`` or
+  ``einsum``, which sum in another order;
+- entropies sum each row's own nonzero terms;
+- ``m2 ** 1.5`` is Python's ``pow``, and the guards (``_VAR_FLOOR``, an
+  empty range, fewer than two samples) apply per row.
 
 Every column is described by a :class:`FeatureDescriptor` whose lineage
 renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
@@ -17,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,16 +39,17 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import (ConfigError, DegenerateSignalError, ValidationError, is_int, known_keys,
-                     list_setting, real_setting, require_int)
+from .errors import (ConfigError, ValidationError, is_int, known_keys, list_setting,
+                     real_setting, require_int)
 from .stft import rfft_bin_frequencies, stft
-from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, filter_length,
-                       select_mother_wavelet, shannon_entropy)
+from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, energy_entropies,
+                       filter_length, row_energies, score_wavelets, shannon_entropy)
 
 PATH_SEP = " → "
 MAX_LEVEL = 2  # levels run 0..MAX_LEVEL
 _GUARD_EPS = 1e-12
 _VAR_FLOOR = 1e-24  # below this the signal counts as constant for moment ratios
+_STACK_BYTES = 128 << 10  # samples per extraction block: R records x n samples x 8 bytes
 _ROOT_RE = re.compile(r"^(time|stft|dwt\([A-Za-z0-9_.]+\))(/(approx|detail)\d+)?$")
 
 
@@ -167,46 +182,87 @@ class ExtractionConfig:
 
 
 # ---------------------------------------------------------------------------
-# scalar statistics with degenerate-input guards; every value stays finite
+# statistics with degenerate-input guards; every value stays finite
 
-def _guard_ratio(num: float, den: float) -> float:
-    if abs(den) < _GUARD_EPS:
-        return 0.0
-    return num / den
+def _guard_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` per row, and 0 where ``|den| < _GUARD_EPS``."""
+    return np.divide(num, den, out=np.zeros_like(num), where=~(np.abs(den) < _GUARD_EPS))
 
 
 STAT_NAMES = ("mean", "std", "variance", "skewness", "kurtosis", "rms", "min", "max",
               "range", "median", "iqr", "mad", "zero_crossing_rate", "line_length",
               "hist_entropy")
+_HIST_BINS = 16
 
 
-def _statistics(x: np.ndarray) -> tuple[float, ...]:
-    """The statistical catalog of one array, in ``STAT_NAMES`` order.
+def _hist_entropies(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-bin amplitude histogram entropy of each row of ``x``, whose range is [lo, hi].
 
-    The mean, central moments and extremes are computed once.  Skewness and
-    kurtosis are 0 below ``_VAR_FLOOR``, the zero-crossing rate and line
-    length are 0 below two samples, and the 16-bin amplitude histogram
-    entropy is 0 when every sample is equal.
+    Follows ``np.histogram(row, bins=16, range=(lo, hi))``: the same
+    ``linspace`` edges, the same index estimate and the same one-ulp
+    corrections, with one ``bincount`` for the whole block.  Dividing a range
+    by 16 is exact down to 2**-1018, so a row's edges do not depend on the
+    other rows of the ``linspace`` call.  Rows with ``hi == lo`` get 0.
+    Where ``np.histogram`` refuses a range only a few ulps wide, each
+    distinct value falls in its own bin.
     """
-    mu = float(np.mean(x))
-    d = x - mu
-    m2 = float(np.mean(d * d))
-    skew = kurt = 0.0
-    if m2 >= _VAR_FLOOR:
-        skew = float(np.mean(d ** 3)) / m2 ** 1.5
-        kurt = float(np.mean(d ** 4)) / (m2 * m2) - 3.0
-    lo, hi = float(np.min(x)), float(np.max(x))
-    q25, q75 = np.percentile(x, (25, 75))
-    zcr = line = entropy = 0.0
-    if x.size >= 2:
-        zcr = float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1)
-        line = float(np.sum(np.abs(np.diff(x))))
-    if hi > lo:
-        counts, _ = np.histogram(x, bins=16, range=(lo, hi))
-        entropy = shannon_entropy(counts / x.size)
-    return (mu, math.sqrt(m2), m2, skew, kurt, float(np.sqrt(np.mean(x * x))), lo, hi,
-            hi - lo, float(np.median(x)), float(q75 - q25), float(np.mean(np.abs(d))),
-            zcr, line, entropy)
+    live = hi > lo
+    edges = np.linspace(lo, hi, _HIST_BINS + 1, axis=1)
+    span = np.where(live, hi - lo, 1.0)[:, None]  # 1.0 only keeps dead rows finite
+    idx = ((x - lo[:, None]) / span * _HIST_BINS).astype(np.intp)
+    idx[idx == _HIST_BINS] -= 1
+    idx[x < np.take_along_axis(edges, idx, axis=1)] -= 1
+    idx[(x >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != _HIST_BINS - 1)] += 1
+    idx += _HIST_BINS * np.arange(len(x))[:, None]
+    counts = np.bincount(idx.ravel(), minlength=len(x) * _HIST_BINS)
+    # each row's own nonzero bins: zeros padded into the sum would regroup it
+    return np.array([shannon_entropy(row / x.shape[1]) if ok else 0.0
+                     for row, ok in zip(counts.reshape(len(x), _HIST_BINS), live)])
+
+
+def _moments(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row means, the 2nd to 4th central moments and the mean absolute deviation.
+
+    The deviations are freed on return, before the rest of the catalog runs.
+    """
+    mu = np.mean(block, axis=1)
+    d = block - mu[:, None]
+    return (mu, np.mean(d * d, axis=1), np.mean(d ** 3, axis=1), np.mean(d ** 4, axis=1),
+            np.mean(np.abs(d), axis=1))
+
+
+def _statistics(x: np.ndarray) -> np.ndarray:
+    """The statistical catalog of each row of ``x``, in ``STAT_NAMES`` order.
+
+    ``x`` has shape (n,) or (R, n) and the result (15,) or (R, 15).  The
+    mean, central moments and extremes are computed once per row.  Skewness
+    and kurtosis are 0 below ``_VAR_FLOOR``, the zero-crossing rate and line
+    length are 0 below two samples, and the histogram entropy is 0 when every
+    sample is equal; each guard applies to its own row.  Every row gets the
+    bits it would get on its own: reductions run along contiguous rows,
+    ``m2 ** 1.5`` is Python's ``pow`` (numpy's vector ``power`` may differ in
+    the last bit), and ``d ** 3``, ``d ** 4`` and ``np.median`` stay as the
+    per-statistic forms have them.
+    """
+    block = np.atleast_2d(x)
+    n = block.shape[1]
+    mu, m2, m3, m4, mad = _moments(block)
+    live = m2 >= _VAR_FLOOR
+    m2_pow = np.array([v ** 1.5 if ok else 1.0 for v, ok in zip(m2.tolist(), live)])
+    skew = np.divide(m3, m2_pow, out=np.zeros(len(block)), where=live)
+    kurt = np.divide(m4, m2 * m2, out=np.zeros(len(block)), where=live)
+    kurt[live] -= 3.0
+    lo, hi = np.min(block, axis=1), np.max(block, axis=1)
+    q25, q75 = np.percentile(block, (25, 75), axis=1)
+    zcr = line = np.zeros(len(block))
+    if n >= 2:
+        zcr = np.count_nonzero(block[:, :-1] * block[:, 1:] < 0, axis=1) / (n - 1)
+        line = np.sum(np.abs(np.diff(block, axis=1)), axis=1)
+    table = np.column_stack([
+        mu, np.sqrt(m2), m2, skew, kurt, np.sqrt(np.mean(block * block, axis=1)), lo, hi,
+        hi - lo, np.median(block, axis=1), q75 - q25, mad,
+        zcr, line, _hist_entropies(block, lo, hi)])
+    return table if x.ndim == 2 else table[0]
 
 
 SPECTRAL_NAMES = ("spectral_centroid_hz", "spectral_spread_hz", "rolloff85_hz",
@@ -275,102 +331,139 @@ def _peak_features(x: np.ndarray, rate: float, config: ExtractionConfig) -> dict
 
 
 # ---------------------------------------------------------------------------
-# per-record extraction
+# extraction on blocks of equal-length records
 
 @dataclass
-class RecordFragment:
-    """Feature values extracted so far for one record, plus its representations."""
+class FeatureBlock:
+    """Feature columns extracted so far for a block of equal-length records.
 
-    record_id: str
-    level: int
-    descriptors: list[FeatureDescriptor]
-    values: list[float]
-    samples: np.ndarray = field(repr=False)
-    sample_rate_hz: float = 0.0
-    wavelet: str = ""
-    depth: int = 0
-    bands: list[tuple[str, np.ndarray]] = field(default_factory=list, repr=False)
-    stft_mags: np.ndarray | None = field(default=None, repr=False)
-    stft_freqs: np.ndarray | None = field(default=None, repr=False)
-    config: ExtractionConfig | None = None
-    _by_key: dict[tuple[str, ...], float] = field(default_factory=dict, repr=False)
+    Row i of every array is record ``record_ids[i]``.  ``columns`` maps each
+    lineage to its level and its column of values, in column order.
+    """
 
-    def append(self, level: int, lineage: tuple[str, ...], value: float) -> None:
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValidationError(
-                f"record {self.record_id!r}: non-finite value for {PATH_SEP.join(lineage)}")
-        self.descriptors.append(FeatureDescriptor(id=len(self.descriptors), level=level,
-                                                  lineage=lineage))
-        self.values.append(value)
-        self._by_key[lineage] = value
+    record_ids: tuple[str, ...]
+    samples: np.ndarray = field(repr=False)  # (R, n)
+    sample_rate_hz: float
+    config: ExtractionConfig
+    wavelet: str
+    bands: list[tuple[str, np.ndarray]] = field(repr=False)  # (R, n_band) each
+    stft_mags: np.ndarray = field(repr=False)  # (R, frames, bins)
+    stft_freqs: np.ndarray = field(repr=False)
+    level: int = 0
+    columns: dict[tuple[str, ...], tuple[int, np.ndarray]] = field(default_factory=dict,
+                                                                   repr=False)
 
-    def value_of(self, source: str, stat: str) -> float:
-        return self._by_key[(source, stat)]
+    def add(self, level: int, lineages, table) -> None:
+        """Append one column per lineage from ``table``, shape (R, len(lineages))."""
+        for lineage, column in zip(lineages, np.asarray(table, dtype=float).T, strict=True):
+            self.columns[lineage] = (level, column)
+
+    def value_of(self, source: str, stat: str) -> np.ndarray:
+        return self.columns[(source, stat)][1]
+
+    @property
+    def descriptors(self) -> tuple[FeatureDescriptor, ...]:
+        return tuple(FeatureDescriptor(id=i, level=level, lineage=lineage)
+                     for i, (lineage, (level, _)) in enumerate(self.columns.items()))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (R, F) value table; every value must be finite."""
+        values = np.column_stack([column for _, column in self.columns.values()])
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            row, col = bad[0]
+            lineage = list(self.columns)[col]
+            raise ValidationError(f"record {self.record_ids[row]!r}: non-finite value for "
+                                  f"{PATH_SEP.join(lineage)}")
+        return values
 
 
 def band_names(depth: int) -> list[str]:
     return [f"approx{depth}"] + [f"detail{lev}" for lev in range(depth, 0, -1)]
 
 
-def extract_level0(record, config: ExtractionConfig) -> RecordFragment:
-    """Compute the level-0 representations and their scalar summaries."""
-    x = np.asarray(record.samples, dtype=float)
-    rate = float(record.sample_rate_hz)
-    wavelet, depth = choose_dataset_wavelet([record], config)
+def _stack(records) -> np.ndarray:
+    return np.stack([np.asarray(r.samples, dtype=float) for r in records])
+
+
+def _blocks(records) -> list[list[int]]:
+    """Record indices in blocks of equal length, each at most ``_STACK_BYTES`` of samples.
+
+    Records are grouped by sample count, and keep their order within a group.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        groups.setdefault(record.samples.size, []).append(i)
+    blocks = []
+    for n, members in groups.items():
+        rows = max(1, _STACK_BYTES // (8 * n))
+        blocks += [members[s:s + rows] for s in range(0, len(members), rows)]
+    return blocks
+
+
+def extract_level0(records, config: ExtractionConfig) -> FeatureBlock:
+    """Compute the level-0 representations and their scalar summaries.
+
+    ``records`` is one record or a sequence of records with one sample count
+    and one sample rate; a single record gives a one-row block.
+    """
+    records = [records] if hasattr(records, "samples") else list(records)
+    if len({(r.samples.size, float(r.sample_rate_hz)) for r in records}) != 1:
+        raise ConfigError("a block needs records of one length and one sample rate")
+    x = _stack(records)
+    rate = float(records[0].sample_rate_hz)
+    wavelet, depth = choose_dataset_wavelet(records, config)
 
     window = config.stft_window
     hop = config.stft_hop
-    if window > x.size:
+    n = x.shape[1]
+    if window > n:
         # shrink to the largest power of two that fits, keeping 50% overlap
-        window = 1 << (x.size.bit_length() - 1)
+        window = 1 << (n.bit_length() - 1)
         hop = max(1, window // 2)
     hop = min(hop, window)
     mags = stft(x, window, hop)
     freqs = rfft_bin_frequencies(window, rate)
 
-    names = band_names(depth)
-    bands = list(zip(names, dwt_decompose(x, wavelet, depth)))
+    bands = list(zip(band_names(depth), dwt_decompose(x, wavelet, depth)))
+    block = FeatureBlock(
+        record_ids=tuple(r.id for r in records), samples=x, sample_rate_hz=rate,
+        config=config, wavelet=wavelet, bands=bands, stft_mags=mags,
+        stft_freqs=freqs)
 
-    frag = RecordFragment(
-        record_id=record.id, level=0, descriptors=[], values=[],
-        samples=x, sample_rate_hz=rate, wavelet=wavelet, depth=depth,
-        bands=bands, stft_mags=mags, stft_freqs=freqs, config=config)
-
-    frag.append(0, ("time", "energy"), float(np.dot(x, x)))
-    energies = {name: float(np.dot(b, b)) for name, b in bands}
-    total = sum(energies.values())
-    for name, _ in bands:
-        frag.append(0, (f"dwt({wavelet})/{name}", "energy"), energies[name])
-    for name, _ in bands:
-        rel = energies[name] / total if total > 0.0 else 0.0
-        frag.append(0, (f"dwt({wavelet})/{name}", "relative_energy"), rel)
-    for name, b in bands:
-        energy = energies[name]
-        entropy = shannon_entropy(b * b / energy) if energy > 0.0 else 0.0
-        frag.append(0, (f"dwt({wavelet})/{name}", "entropy"), entropy)
-    avg = mags.mean(axis=0)
-    frag.append(0, ("stft", "dominant_frequency_hz"), float(freqs[int(np.argmax(avg))]))
-    return frag
+    roots = [f"dwt({wavelet})/{name}" for name, _ in bands]
+    energies = np.column_stack([row_energies(b) for _, b in bands])
+    total = sum(energies.T)  # band by band, as a sum over one record's bands adds them
+    block.add(0, [("time", "energy")], row_energies(x)[:, None])
+    block.add(0, [(root, "energy") for root in roots], energies)
+    block.add(0, [(root, "relative_energy") for root in roots],
+              np.divide(energies, total[:, None], out=np.zeros_like(energies),
+                        where=total[:, None] > 0.0))
+    block.add(0, [(root, "entropy") for root in roots],
+              np.column_stack([energy_entropies(b, e) for (_, b), e in zip(bands, energies.T)]))
+    avg = mags.mean(axis=1)
+    block.add(0, [("stft", "dominant_frequency_hz")], freqs[np.argmax(avg, axis=1)][:, None])
+    return block
 
 
-def extract_level1(frag: RecordFragment) -> RecordFragment:
-    """Append the statistical / spectral / peak-trough catalog to a level-0 fragment."""
-    if frag.level != 0:
-        raise ValueError("extract_level1 expects a level-0 fragment")
-    for stat, value in zip(STAT_NAMES, _statistics(frag.samples)):
-        frag.append(1, ("time", stat), value)
-    for name, b in frag.bands:
-        for stat, value in zip(STAT_NAMES, _statistics(b)):
-            frag.append(1, (f"dwt({frag.wavelet})/{name}", stat), value)
-    spectral = _spectral_features(frag.stft_mags.mean(axis=0), frag.stft_freqs, frag.stft_mags)
-    for stat in SPECTRAL_NAMES:
-        frag.append(1, ("stft", stat), spectral[stat])
-    peaks = _peak_features(frag.samples, frag.sample_rate_hz, frag.config)
-    for stat in PEAK_NAMES:
-        frag.append(1, ("time", stat), peaks[stat])
-    frag.level = 1
-    return frag
+def extract_level1(block: FeatureBlock) -> FeatureBlock:
+    """Append the statistical / spectral / peak-trough catalog to a level-0 block."""
+    if block.level != 0:
+        raise ValueError("extract_level1 expects a level-0 block")
+    block.add(1, [("time", stat) for stat in STAT_NAMES], _statistics(block.samples))
+    for name, b in block.bands:
+        block.add(1, [(f"dwt({block.wavelet})/{name}", stat) for stat in STAT_NAMES],
+                  _statistics(b))
+    spectral = [_spectral_features(avg, block.stft_freqs, mags)
+                for avg, mags in zip(block.stft_mags.mean(axis=1), block.stft_mags)]
+    block.add(1, [("stft", stat) for stat in SPECTRAL_NAMES],
+              [[row[stat] for stat in SPECTRAL_NAMES] for row in spectral])
+    peaks = [_peak_features(x, block.sample_rate_hz, block.config) for x in block.samples]
+    block.add(1, [("time", stat) for stat in PEAK_NAMES],
+              [[row[stat] for stat in PEAK_NAMES] for row in peaks])
+    block.level = 1
+    return block
 
 
 #: Declared level-1 ratio pairs: (root stage, numerator stat, denominator stat).
@@ -383,26 +476,26 @@ RATIO_PAIRS: tuple[tuple[str, str, str], ...] = (
 )
 
 
-def extract_level2(frag: RecordFragment) -> RecordFragment:
-    """Append guarded ratios and difference-signal statistics to a level-1 fragment."""
-    if frag.level != 1:
-        raise ValueError("extract_level2 expects a level-1 fragment")
-    for root, num, den in RATIO_PAIRS:
-        value = _guard_ratio(frag.value_of(root, num), frag.value_of(root, den))
-        frag.append(2, (root, "guarded_ratio", f"{num}/{den}"), value)
-    names = [name for name, _ in frag.bands]
-    dwt_root = f"dwt({frag.wavelet})"
-    for upper, lower in zip(names, names[1:]):
-        value = _guard_ratio(frag.value_of(f"{dwt_root}/{upper}", "energy"),
-                             frag.value_of(f"{dwt_root}/{lower}", "energy"))
-        frag.append(2, (dwt_root, "guarded_ratio", f"energy({upper})/energy({lower})"), value)
-    d1 = np.diff(frag.samples)
-    d2 = np.diff(frag.samples, n=2)
-    for tag, arr in (("d1", d1), ("d2", d2)):
-        for stat, value in zip(STAT_NAMES, _statistics(arr)):
-            frag.append(2, ("time", tag, stat), value)
-    frag.level = 2
-    return frag
+def extract_level2(block: FeatureBlock) -> FeatureBlock:
+    """Append guarded ratios and difference-signal statistics to a level-1 block."""
+    if block.level != 1:
+        raise ValueError("extract_level2 expects a level-1 block")
+    block.add(2, [(root, "guarded_ratio", f"{num}/{den}") for root, num, den in RATIO_PAIRS],
+              np.column_stack([_guard_ratio(block.value_of(root, num), block.value_of(root, den))
+                               for root, num, den in RATIO_PAIRS]))
+    names = [name for name, _ in block.bands]
+    dwt_root = f"dwt({block.wavelet})"
+    pairs = list(zip(names, names[1:]))
+    block.add(2, [(dwt_root, "guarded_ratio", f"energy({upper})/energy({lower})")
+                  for upper, lower in pairs],
+              np.column_stack([_guard_ratio(block.value_of(f"{dwt_root}/{upper}", "energy"),
+                                            block.value_of(f"{dwt_root}/{lower}", "energy"))
+                               for upper, lower in pairs]))
+    for tag, order in (("d1", 1), ("d2", 2)):
+        block.add(2, [("time", tag, stat) for stat in STAT_NAMES],
+                  _statistics(np.diff(block.samples, n=order, axis=1)))
+    block.level = 2
+    return block
 
 
 def choose_dataset_wavelet(records, config: ExtractionConfig) -> tuple[str, int]:
@@ -411,7 +504,7 @@ def choose_dataset_wavelet(records, config: ExtractionConfig) -> tuple[str, int]
     Each record votes for its own best-scoring wavelet; records whose details
     vanish (constant signals) abstain.  Ties, and the all-abstain case, fall
     back to bank order.  The depth is the configured depth clamped so the
-    shortest record still supports it.
+    shortest record still supports it.  Records are scored a block at a time.
     """
     min_len = min(r.samples.size for r in records)
     usable = [w for w in config.wavelet_bank if dwt_max_depth(min_len, w) >= 1]
@@ -421,14 +514,12 @@ def choose_dataset_wavelet(records, config: ExtractionConfig) -> tuple[str, int]
         name = usable[0]
     else:
         vote_depth = min(config.dwt_depth, min(dwt_max_depth(min_len, w) for w in usable))
-        votes: dict[str, int] = {w: 0 for w in usable}
-        for record in records:
-            try:
-                choice = select_mother_wavelet(record.samples, usable, vote_depth)
-            except DegenerateSignalError:
-                continue
-            votes[choice.wavelet_name] += 1
-        name = max(usable, key=lambda w: votes[w])  # max is stable: ties keep bank order
+        votes = np.zeros(len(usable), dtype=int)
+        for rows in _blocks(records):
+            scores = score_wavelets(_stack([records[i] for i in rows]), usable, vote_depth)
+            voters = ~np.isnan(scores).any(axis=0)
+            votes += np.bincount(np.argmax(scores[:, voters], axis=0), minlength=len(usable))
+        name = usable[int(np.argmax(votes))]  # the first of equal counts: ties keep bank order
     depth = min(config.dwt_depth, dwt_max_depth(min_len, name))
     if depth < 1:
         raise ConfigError(f"records of {min_len} samples are too short for wavelet {name!r}")
@@ -440,7 +531,9 @@ def build_feature_matrix(records, config: ExtractionConfig, max_level: int) -> F
 
     The descriptor set is identical for every record: the mother wavelet and
     decomposition depth are fixed dataset-wide before extraction.  Column
-    order is deterministic (by level, then catalog order).
+    order is deterministic (by level, then catalog order).  Records are
+    extracted a block at a time, and each block's rows are written back at
+    their records' positions.
     """
     records = list(records)
     if not records:
@@ -452,18 +545,19 @@ def build_feature_matrix(records, config: ExtractionConfig, max_level: int) -> F
     wavelet, depth = choose_dataset_wavelet(records, config)
     pinned = replace(config, wavelet_bank=(wavelet,), dwt_depth=depth)
 
-    rows = []
-    descriptors: tuple[FeatureDescriptor, ...] | None = None
-    for record in records:
-        frag = extract_level0(record, pinned)
+    values = descriptors = None
+    for rows in _blocks(records):
+        block = extract_level0([records[i] for i in rows], pinned)
         if max_level >= 1:
-            frag = extract_level1(frag)
+            block = extract_level1(block)
         if max_level >= 2:
-            frag = extract_level2(frag)
+            block = extract_level2(block)
         if descriptors is None:
-            descriptors = tuple(frag.descriptors)
-        rows.append(frag.values)
-    return FeatureMatrix(values=np.asarray(rows, dtype=float), descriptors=descriptors,
+            descriptors = block.descriptors
+            values = np.empty((len(records), len(descriptors)))
+        values[rows] = block.values
+        del block  # free this block's arrays before the next one is stacked
+    return FeatureMatrix(values=values, descriptors=descriptors,
                          record_ids=tuple(r.id for r in records))
 
 

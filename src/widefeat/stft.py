@@ -13,11 +13,13 @@ def hann_window(window_len: int) -> np.ndarray:
 def stft(samples, window_len: int, hop: int) -> np.ndarray:
     """Hann-windowed magnitude spectrogram, shape (frames, window_len // 2 + 1).
 
-    Frame count is 1 + floor((n - window_len) / hop).  The window length must
-    be a power of two no longer than the signal.
+    ``samples`` of shape (R, n) holds one signal per row and gives shape
+    (R, frames, window_len // 2 + 1).  Frame count is
+    1 + floor((n - window_len) / hop).  The window length must be a power of
+    two no longer than the signal.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if window_len < 2 or window_len & (window_len - 1) != 0:
         raise ValueError(f"window_len must be a power of two, got {window_len}")
     if window_len > n:
@@ -27,8 +29,9 @@ def stft(samples, window_len: int, hop: int) -> np.ndarray:
     frames = 1 + (n - window_len) // hop
     window = hann_window(window_len)
     starts = np.arange(frames) * hop
-    segs = x[starts[:, None] + np.arange(window_len)] * window
-    return np.abs(np.fft.rfft(segs, axis=1))
+    segs = x[..., starts[:, None] + np.arange(window_len)]
+    segs *= window
+    return np.abs(np.fft.rfft(segs, axis=-1))
 
 
 def rfft_bin_frequencies(window_len: int, sample_rate_hz: float) -> np.ndarray:

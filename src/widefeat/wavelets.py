@@ -125,14 +125,22 @@ def dwt_max_depth(n: int, wavelet_name: str) -> int:
 
 
 def _split(x: np.ndarray, dec_lo: np.ndarray, dec_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if x.size % 2 == 1:
-        x = np.append(x, 0.0)
-    n = x.size
-    idx = np.arange(1, n, 2)
-    approx = np.zeros(n // 2)
-    detail = np.zeros(n // 2)
+    """One analysis step along the last axis of ``x``, shape (n,) or (R, n).
+
+    Output sample o takes the taps x[(2o + 1 - j) mod n] for j = 0, 1, ...
+    in that order.  They are read as strided slices of a copy with the last
+    ``flen - 1`` samples wrapped to the front, and accumulated from zero in tap
+    order, so every row gets the same bits it would get on its own.
+    """
+    if x.shape[-1] % 2 == 1:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    n = x.shape[-1]
+    wrap = dec_lo.size - 1
+    padded = np.concatenate([x[..., n - wrap:], x], axis=-1)
+    approx = np.zeros(x.shape[:-1] + (n // 2,))
+    detail = np.zeros_like(approx)
     for j in range(dec_lo.size):
-        col = x[(idx - j) % n]
+        col = padded[..., wrap + 1 - j:wrap + n - j:2]
         approx += dec_lo[j] * col
         detail += dec_hi[j] * col
     return approx, detail
@@ -152,12 +160,14 @@ def _merge(approx: np.ndarray, detail: np.ndarray, dec_lo: np.ndarray,
 def dwt_decompose(samples, wavelet_name: str, depth: int) -> list[np.ndarray]:
     """Decompose ``samples`` into [approx_depth, detail_depth, ..., detail_1].
 
+    ``samples`` is one signal of shape (n,) or a block of equal-length signals
+    of shape (R, n); a block is decomposed row by row along its last axis.
     Bands are ordered coarse to fine.  Requires the signal to stay at least
     one filter length long at every level.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("samples must be 1-D")
+    if x.ndim not in (1, 2):
+        raise ValueError("samples must be 1-D, or 2-D with one signal per row")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     dec_lo, dec_hi = _analysis_pair(wavelet_name)
@@ -165,7 +175,7 @@ def dwt_decompose(samples, wavelet_name: str, depth: int) -> list[np.ndarray]:
     details = []
     approx = x
     for _ in range(depth):
-        if approx.size < flen:
+        if approx.shape[-1] < flen:
             raise ValueError(
                 f"signal too short for depth {depth} with {wavelet_name!r} "
                 f"(need >= {flen} samples per level)")
@@ -203,23 +213,40 @@ class WaveletChoice:
     per_candidate_scores: dict[str, float]
 
 
-def detail_energy_entropy_ratio(samples, wavelet_name: str, depth: int) -> float:
-    """Energy-to-entropy ratio of the pooled detail coefficients.
+def row_energies(block: np.ndarray) -> np.ndarray:
+    """``np.dot(row, row)`` for each row of a 2-D block.
 
-    E is the total squared detail magnitude; the entropy S uses the detail
-    energy distribution p_i = d_i^2 / E with natural log and 0*log(0) = 0.
-    A single dominant coefficient gives S = 0 and the score is +inf.
+    One ``np.dot`` per row keeps the bits a single signal gets;
+    ``(block * block).sum(1)`` and ``einsum`` sum in another order.
     """
-    bands = dwt_decompose(samples, wavelet_name, depth)
-    details = np.concatenate(bands[1:])
-    energy = float(np.dot(details, details))
-    if energy <= 0.0:
-        raise DegenerateSignalError(
-            "all detail coefficients are zero; cannot score mother wavelets")
-    entropy = shannon_entropy(details * details / energy)
-    if entropy == 0.0:
-        return float("inf")
-    return energy / entropy
+    return np.array([np.dot(row, row) for row in block])
+
+
+def energy_entropies(block: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Entropy of each row's energy distribution ``row**2 / energy``; 0 where the energy is 0."""
+    return np.array([shannon_entropy(row * row / e) if e > 0.0 else 0.0
+                     for row, e in zip(block, energies)])
+
+
+def score_wavelets(block: np.ndarray, bank, depth: int) -> np.ndarray:
+    """Detail energy-to-entropy ratio of every row of ``block`` under every wavelet.
+
+    Returns shape (len(bank), R).  For one wavelet and row, E is the total
+    squared magnitude of the pooled detail coefficients; the entropy S uses
+    the detail energy distribution p_i = d_i^2 / E with natural log and
+    0*log(0) = 0.  A single dominant coefficient gives S = 0 and the score is
+    +inf; a row whose details all vanish scores NaN.
+    """
+    scores = []
+    for name in bank:
+        details = np.concatenate(dwt_decompose(block, name, depth)[1:], axis=-1)
+        energy = row_energies(details)
+        entropy = energy_entropies(details, energy)
+        score = np.divide(energy, entropy, out=np.full(energy.shape, np.inf),
+                          where=entropy != 0.0)
+        score[energy <= 0.0] = np.nan
+        scores.append(score)
+    return np.array(scores)
 
 
 def select_mother_wavelet(signal, bank=WAVELET_BANK, depth: int = 4) -> WaveletChoice:
@@ -234,8 +261,10 @@ def select_mother_wavelet(signal, bank=WAVELET_BANK, depth: int = 4) -> WaveletC
         raise ValueError("wavelet bank must not be empty")
     if samples.size < 2 ** depth:
         raise ValueError(f"signal of {samples.size} samples is too short for depth {depth}")
-    scores: dict[str, float] = {}
-    for name in bank:
-        scores[name] = detail_energy_entropy_ratio(samples, name, depth)
-    best = max(bank, key=lambda name: scores[name])
-    return WaveletChoice(wavelet_name=best, ratio=scores[best], per_candidate_scores=scores)
+    scores = score_wavelets(samples[None, :], bank, depth)[:, 0]
+    if np.isnan(scores).any():
+        raise DegenerateSignalError(
+            "all detail coefficients are zero; cannot score mother wavelets")
+    best = int(np.argmax(scores))  # the first of equal scores: ties keep bank order
+    return WaveletChoice(wavelet_name=bank[best], ratio=float(scores[best]),
+                         per_candidate_scores=dict(zip(bank, map(float, scores))))

@@ -168,6 +168,36 @@ def periodic_dwt_matrix(n, dec_filter):
     return rows
 
 
+def dwt_reference(samples, scaling_filter, depth):
+    """Periodized DWT, one output coefficient at a time with Python floats.
+
+    Each level pads an odd-length approximation with one zero, then output o
+    sums filter[j] * x[(2o + 1 - j) mod n] from 0.0 in tap order.  Returns
+    [approx_depth, detail_depth, ..., detail_1] as lists.
+    """
+    h = [float(v) for v in scaling_filter]
+    dec_lo = h[::-1]
+    dec_hi = [((-1) ** (k + 1)) * h[k] for k in range(len(h))]
+    approx = [float(v) for v in samples]
+    details = []
+    for _ in range(depth):
+        if len(approx) % 2:
+            approx = approx + [0.0]
+        n = len(approx)
+        lo, hi = [], []
+        for o in range(n // 2):
+            a = d = 0.0
+            for j in range(len(h)):
+                tap = approx[(2 * o + 1 - j) % n]
+                a += dec_lo[j] * tap
+                d += dec_hi[j] * tap
+            lo.append(a)
+            hi.append(d)
+        details.append(hi)
+        approx = lo
+    return [approx] + details[::-1]
+
+
 def detail_score(samples, scaling_filter, depth):
     """Energy-to-entropy ratio recomputed with matrix-form periodic analysis."""
     h = np.asarray(scaling_filter, dtype=float)

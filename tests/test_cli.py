@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import sine_records, write_csv_dataset
+from conftest import sine_records, write_csv_dataset, write_wav
 from widefeat import cli, recommender
 from widefeat.cli import main
 from widefeat.dataset import SignalRecord
@@ -189,6 +189,24 @@ class TestRejectBeforeCompute:
         config.write_text(config_text)
         assert run_cli("baseline-pca", planted_manifest, "--config", config, *flags,
                        "--out", tmp_path / "runs") == 2
+
+    # an 8-bit mono frame is one byte and cannot be cut short, so 8 bits go in stereo
+    @pytest.mark.parametrize("width, channels", [(1, 2), (2, 1), (3, 1), (2, 2)])
+    def test_truncated_wav_exits_2(self, tmp_path, no_extraction, width, channels, capsys):
+        ints = np.arange(64 * channels) % 100 + (100 if width == 1 else -50)
+        for name in ("ok", "cut"):
+            write_wav(tmp_path / f"{name}.wav", ints, sampwidth=width, rate=100,
+                      channels=channels)
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(cut.read_bytes()[:-1])
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "format": "wav", "class_names": ["a", "b"],
+            "records": [{"path": "ok.wav", "label": 0}, {"path": "cut.wav", "label": 1}],
+        }))
+        assert run_cli("extract", manifest, "--out", tmp_path / "runs") == 2
+        err = capsys.readouterr().err
+        assert "cut.wav" in err and f"{ints.size * width - 1} bytes" in err
 
     @pytest.fixture
     def no_loading(self, monkeypatch):

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import catalog_reference, entropy_reference
+from oracles import catalog_reference, dwt_reference, entropy_reference
+from widefeat import feature_bank
 from widefeat.dataset import MIN_SAMPLES, SignalRecord
-from widefeat.errors import ConfigError
-from widefeat.feature_bank import (STAT_NAMES, ExtractionConfig, _statistics,
+from widefeat.errors import ConfigError, DegenerateSignalError
+from widefeat.feature_bank import (STAT_NAMES, ExtractionConfig, _statistics, band_names,
                                    build_feature_matrix, choose_dataset_wavelet, describe,
                                    extract_level0, extract_level1, extract_level2,
                                    parse_lineage_path)
-from widefeat.wavelets import WAVELET_BANK, dwt_decompose, shannon_entropy
+from widefeat.wavelets import (_SCALING_FILTERS, WAVELET_BANK, dwt_decompose, dwt_max_depth,
+                               select_mother_wavelet, shannon_entropy)
 
 
 def record_from(samples, rate=100.0, label=0, rid="r"):
@@ -18,7 +22,7 @@ def record_from(samples, rate=100.0, label=0, rid="r"):
 
 
 def frag_value(frag, lineage):
-    for d, v in zip(frag.descriptors, frag.values):
+    for d, v in zip(frag.descriptors, frag.values[0]):
         if d.lineage == tuple(lineage):
             return v
     raise KeyError(lineage)
@@ -45,7 +49,7 @@ class TestLevel0:
     def test_relative_band_energies_sum_to_one(self):
         rng = np.random.default_rng(2)
         frag = extract_level0(record_from(rng.standard_normal(512)), ExtractionConfig())
-        rel = [v for d, v in zip(frag.descriptors, frag.values)
+        rel = [v for d, v in zip(frag.descriptors, frag.values[0])
                if d.lineage[-1] == "relative_energy"]
         assert abs(sum(rel) - 1.0) < 1e-9
 
@@ -59,7 +63,14 @@ class TestLevel0:
         frag = extract_level0(record, ExtractionConfig())
         matrix = build_feature_matrix([record], ExtractionConfig(), max_level=0)
         assert tuple(frag.descriptors) == matrix.descriptors
-        np.testing.assert_array_equal(frag.values, matrix.values[0])
+        np.testing.assert_array_equal(frag.values, matrix.values)
+
+    @pytest.mark.parametrize("n, rate", [(65, 100.0), (64, 200.0)])
+    def test_block_of_mixed_records_rejected(self, n, rate):
+        records = [record_from(np.sin(np.arange(64.0)), rid="a"),
+                   record_from(np.sin(np.arange(float(n))), rate=rate, rid="b")]
+        with pytest.raises(ConfigError, match="one length and one sample rate"):
+            extract_level0(records, ExtractionConfig())
 
     def test_one_entry_bank_pins_wavelet(self):
         rng = np.random.default_rng(8)
@@ -158,6 +169,42 @@ class TestStatistics:
         assert _statistics(_FIXTURES["below_var_floor"])[STAT_NAMES.index("skewness")] == 0.0
         assert _statistics(_FIXTURES["above_var_floor"])[STAT_NAMES.index("skewness")] != 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_block_rows_bitwise_equal_to_reference(self, n):
+        rng = np.random.default_rng(n)
+        rows = [np.full(n, 2.5), rng.standard_normal(n), np.round(4 * rng.standard_normal(n)) / 4,
+                # samples on the exact histogram edges, where a one-ulp edge moves a count
+                np.resize(np.linspace(0.0, 1.6, 17), n)]
+        if n == 300:
+            rows += [_FIXTURES["below_var_floor"], _FIXTURES["above_var_floor"]]
+        block = np.array(rows)
+        table = _statistics(block)
+        assert table.shape == (len(rows), len(STAT_NAMES))
+        for i, (row, got) in enumerate(zip(block, table)):
+            reference = catalog_reference(row)
+            for stat, value in zip(STAT_NAMES, got):
+                assert np.float64(value).tobytes() == np.float64(reference[stat]).tobytes(), \
+                    (i, stat, value, reference[stat])
+
+    def test_ulp_wide_rows_bin_each_value(self):
+        # np.histogram refuses a range a few ulps wide; each distinct value gets
+        # its own bin instead, and the other rows keep their bits
+        rng = np.random.default_rng(4)
+        normal = [np.resize(np.linspace(0.0, 1.6, 17), 64), rng.standard_normal(64)]
+        ulp_wide = [np.resize([0.3, 0.1 * 3], 64),
+                    # a range so small that linspace's step underflows to zero
+                    1e-310 + 5e-324 * rng.integers(0, 3, 64)]
+        table = _statistics(np.array(normal + ulp_wide))
+        for row, got in zip(normal, table):
+            reference = catalog_reference(row)
+            assert [np.float64(v).tobytes() for v in got] == \
+                [np.float64(reference[stat]).tobytes() for stat in STAT_NAMES]
+        for row, got in zip(ulp_wide, table[2:]):
+            counts = np.unique(row, return_counts=True)[1]
+            assert len(counts) >= 2
+            np.testing.assert_allclose(got[STAT_NAMES.index("hist_entropy")],
+                                       shannon_entropy(counts / row.size), rtol=1e-12)
+
     def test_entropy_bitwise_equal_to_inline_form(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 17, 400):
@@ -179,7 +226,7 @@ class TestLevel2:
 
     def test_guarded_zero_denominator(self):
         frag = full_fragment(np.full(64, 1.0))  # constant: std == 0
-        guarded = [(d, v) for d, v in zip(frag.descriptors, frag.values)
+        guarded = [(d, v) for d, v in zip(frag.descriptors, frag.values[0])
                    if d.lineage == ("time", "guarded_ratio", "iqr/std")]
         assert len(guarded) == 1
         descriptor, value = guarded[0]
@@ -266,6 +313,68 @@ class TestBuildMatrix:
         import json
         payload = json.loads((tmp_path / "d.json").read_text())
         assert len(payload["descriptors"]) == m.n_features
+
+    def test_blocks_match_single_record_rows(self, monkeypatch):
+        # two 300-sample rows per block: the seven 300-sample records take four blocks
+        monkeypatch.setattr(feature_bank, "_STACK_BYTES", 2 * 300 * 8)
+        rng = np.random.default_rng(9)
+        lengths = [300, 257, 300, 128, 300, 257, 300, 128, 300, 300, 257, 300]
+        records = [record_from(rng.standard_normal(n) if i % 4 else np.full(n, 1.5),
+                               rid=f"r{i}", label=i % 2) for i, n in enumerate(lengths)]
+        assert sum(records[b[0]].samples.size == 300 for b in feature_bank._blocks(records)) == 4
+        config = ExtractionConfig(stft_window=64, stft_hop=32)
+        matrix = build_feature_matrix(records, config, max_level=2)
+        assert matrix.record_ids == tuple(r.id for r in records)
+
+        wavelet, depth = choose_dataset_wavelet(records, config)
+        vote_depth = min(config.dwt_depth, min(dwt_max_depth(128, w) for w in WAVELET_BANK))
+        votes = dict.fromkeys(WAVELET_BANK, 0)
+        for record in records:
+            try:
+                votes[select_mother_wavelet(record, WAVELET_BANK, vote_depth).wavelet_name] += 1
+            except DegenerateSignalError:
+                continue
+        assert wavelet == max(WAVELET_BANK, key=votes.get)
+
+        pinned = ExtractionConfig(stft_window=64, stft_hop=32, wavelet_bank=(wavelet,),
+                                  dwt_depth=depth)
+        for record, row in zip(records, matrix.values):
+            single = extract_level2(extract_level1(extract_level0(record, pinned)))
+            assert single.descriptors == matrix.descriptors
+            assert single.values.tobytes() == row.tobytes(), record.id
+
+    def test_energies_keep_dot_bits(self):
+        rng = np.random.default_rng(10)
+        records = [record_from(scale * rng.standard_normal(203), rid=f"r{i}", label=i % 2)
+                   for i, scale in enumerate([1.0, 3.0, 1e-3, 40.0])]
+        block = extract_level0(records, ExtractionConfig(wavelet_bank=("db4",), dwt_depth=3))
+        for i, record in enumerate(records):
+            x = record.samples
+            assert block.value_of("time", "energy")[i].tobytes() == np.dot(x, x).tobytes()
+            bands = dwt_reference(x, _SCALING_FILTERS["db4"], 3)
+            for name, band in zip(band_names(3), map(np.array, bands)):
+                got = block.value_of(f"dwt(db4)/{name}", "energy")[i]
+                assert got.tobytes() == np.dot(band, band).tobytes(), (record.id, name)
+
+    def test_memory_bounded_by_block_size(self):
+        # extraction holds one block of samples at a time, so 4x the records
+        # may add no more than the larger output matrix to the peak
+        rng = np.random.default_rng(11)
+        records = [record_from(rng.standard_normal(5000), rid=f"r{i}", label=i % 2)
+                   for i in range(128)]
+        # a first pass fills numpy's caches and the interpreter's free lists,
+        # which would otherwise grow during the larger run and count against it
+        build_feature_matrix(records, ExtractionConfig(), max_level=2)
+        peaks = {}
+        for count in (32, 128):
+            tracemalloc.start()
+            try:
+                matrix = build_feature_matrix(records[:count], ExtractionConfig(), max_level=2)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[128] - peaks[32] <= matrix.values.nbytes
+        assert peaks[128] <= 4 << 20
 
     def test_empty_records_rejected(self):
         with pytest.raises(ConfigError, match="zero records"):

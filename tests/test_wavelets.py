@@ -65,6 +65,24 @@ class TestDecompose:
         assert [b.size for b in bands] == [13, 13, 25, 50]
 
 
+class TestBlocks:
+    """A block of equal-length signals decomposes row by row, bit for bit."""
+
+    @pytest.mark.parametrize("wavelet", WAVELET_BANK)
+    @pytest.mark.parametrize("n", [67, 128, 203])
+    def test_block_matches_loop_oracle_and_single_rows(self, wavelet, n):
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((3, n)) * np.array([[1.0], [1e-3], [50.0]])
+        for depth in range(1, dwt_max_depth(n, wavelet) + 1):
+            bands = dwt_decompose(block, wavelet, depth)
+            for i, row in enumerate(block):
+                expected = oracles.dwt_reference(row, _SCALING_FILTERS[wavelet], depth)
+                alone = dwt_decompose(row, wavelet, depth)
+                assert len(bands) == len(expected) == len(alone) == depth + 1
+                for got, want, single in zip(bands, expected, alone):
+                    assert got[i].tobytes() == np.array(want).tobytes() == single.tobytes()
+
+
 class TestMaxDepth:
     def test_known_values(self):
         assert dwt_max_depth(64, "haar") == 5
