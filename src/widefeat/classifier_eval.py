@@ -7,14 +7,13 @@ nothing to any choice and are scored only when test metrics are requested.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .dataset import FoldPlan, fold_roles
-from .errors import (ConfigError, TrainingError, is_int, is_real, known_keys, list_setting,
-                     real_setting, require_int)
+from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
+                     real_setting, require_int, store)
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
 from .svm import KERNEL_KINDS, KernelSpec, SvmModel, svm_predict, svm_train
 
@@ -31,22 +30,24 @@ class EvalConfig:
     positive_class: int | None = None  # None means the larger label value
 
     def __post_init__(self):
+        c_grid = list_setting(self.c_grid, "evaluation.c_grid")
+        store(self, kernels=list_setting(self.kernels, "evaluation.kernels"),
+              c_grid=tuple(real_setting(c, "evaluation.c_grid entry") for c in c_grid),
+              coef0=real_setting(self.coef0, "evaluation.coef0"),
+              gamma=None if self.gamma is None else real_setting(self.gamma, "evaluation.gamma"))
         if not self.kernels or any(k not in KERNEL_KINDS for k in self.kernels):
             raise ConfigError(f"kernels must be a non-empty subset of {KERNEL_KINDS}, "
                               f"got {self.kernels}")
-        if not self.c_grid or any(not (is_real(c) and c > 0) for c in self.c_grid):
+        if not self.c_grid or any(c <= 0 for c in self.c_grid):
             raise ConfigError(f"c_grid must hold positive values, got {self.c_grid}")
         if self.class_weight_mode not in ("balanced", "none"):
             raise ConfigError(f"class_weight_mode must be 'balanced' or 'none', "
                               f"got {self.class_weight_mode!r}")
         if self.metric not in METRIC_NAMES:
             raise ConfigError(f"unknown metric {self.metric!r}; known: {METRIC_NAMES}")
-        if self.gamma is not None and not (is_real(self.gamma) and math.isfinite(self.gamma)
-                                           and self.gamma > 0):
-            raise ConfigError(f"gamma must be a finite number above 0, got {self.gamma!r}")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ConfigError(f"gamma must be above 0, got {self.gamma!r}")
         require_int(self.degree, "degree", 1)
-        if not (is_real(self.coef0) and math.isfinite(self.coef0)):
-            raise ConfigError(f"coef0 must be a finite number, got {self.coef0!r}")
         if self.positive_class is not None and not is_int(self.positive_class):
             raise ConfigError(f"positive_class must be an integer label, got "
                               f"{self.positive_class!r}")
@@ -57,32 +58,10 @@ class EvalConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalConfig":
-        known_keys(raw, "kernels c_grid class_weight_mode metric gamma degree coef0 "
-                        "positive_class", "evaluation")
-        c_grid = list_setting(raw.get("c_grid", (0.1, 1.0, 10.0)), "evaluation.c_grid")
-        return cls(
-            kernels=list_setting(raw.get("kernels", ("linear", "rbf", "poly")),
-                                 "evaluation.kernels"),
-            c_grid=tuple(real_setting(c, "evaluation.c_grid entry") for c in c_grid),
-            class_weight_mode=str(raw.get("class_weight_mode", "balanced")),
-            metric=str(raw.get("metric", "accuracy")),
-            gamma=raw.get("gamma"),
-            degree=raw.get("degree", 3),
-            coef0=real_setting(raw.get("coef0", 1.0), "evaluation.coef0"),
-            positive_class=raw.get("positive_class"),
-        )
+        return cls(**known_keys(raw, [f.name for f in fields(cls)], "evaluation"))
 
     def to_dict(self) -> dict:
-        out = {
-            "kernels": list(self.kernels), "c_grid": list(self.c_grid),
-            "class_weight_mode": self.class_weight_mode, "metric": self.metric,
-            "degree": self.degree, "coef0": self.coef0,
-        }
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.positive_class is not None:
-            out["positive_class"] = self.positive_class
-        return out
+        return flat_dict(self)
 
 
 @dataclass(frozen=True)

@@ -75,11 +75,8 @@ def _mean_test_metrics(reports) -> dict:
 def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     raw = _read_json(args.config) if args.config else {}
-    try:
-        max_level = raw.pop("max_level", 2)
-        config = ExtractionConfig.from_dict(raw)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed extract config: {exc}") from exc
+    max_level = raw.pop("max_level", MAX_LEVEL)
+    config = ExtractionConfig.from_dict(raw)
     if args.max_level is not None:
         max_level = args.max_level
     require_int(max_level, "max_level", 0, MAX_LEVEL)
@@ -181,13 +178,12 @@ def cmd_recommend(args) -> int:
 def cmd_baseline_pca(args) -> int:
     manifest = load_manifest(args.manifest)
     raw = _read_json(args.config) if args.config else {}
-    raw.setdefault("seed", 0)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.folds is not None:
         raw["p"] = args.folds
     config = RecommendConfig.from_dict(raw)
-    pca_raw = known_keys(raw.get("pca", {}), "grid kernel", "pca")
+    pca_raw = known_keys(raw.get("pca", {}), ("grid", "kernel"), "pca")
     try:
         grid = ([int(n) for n in args.components.split(",")] if args.components
                 else list_setting(pca_raw.get("grid", (5, 10, 15)), "pca.grid"))

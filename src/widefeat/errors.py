@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the config key and type checks."""
+"""Exception types shared across the package, and the checks and JSON layout of config blocks."""
 
 import numbers
+import sys
+from dataclasses import fields, is_dataclass
 
 
 class WidefeatError(Exception):
@@ -35,14 +37,48 @@ class RunError(WidefeatError):
         self.trace = trace
 
 
-def known_keys(raw: dict, names: str, where: str) -> dict:
-    """Return config block ``raw`` after checking it sets only the space-separated ``names``."""
+def known_keys(raw: dict, names, where: str) -> dict:
+    """Return config block ``raw`` after checking it sets only keys in ``names``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} settings must be a JSON object, got {raw!r}")
-    unknown = sorted(set(raw) - set(names.split()))
+    unknown = sorted(set(raw) - set(names))
     if unknown:
-        raise ConfigError(f"unknown {where} setting(s) {unknown}; known: {names.split()}")
+        raise ConfigError(f"unknown {where} setting(s) {unknown}; known: {list(names)}")
     return raw
+
+
+def block_settings(raw: dict, table: dict, where: str) -> dict:
+    """The fields that config block ``raw`` sets, by name; ``table`` is {block: {key: field}}."""
+    known_keys(raw, table, where)
+    settings = {}
+    for block, keys in table.items():
+        sub = known_keys(raw.get(block, {}), keys, f"{where}.{block}")
+        settings.update((keys[key], value) for key, value in sub.items())
+    return settings
+
+
+def block_dict(config, table: dict) -> dict:
+    """``config``'s fields as JSON values, laid out in the two-level blocks of ``table``."""
+    return {block: {key: _json_value(getattr(config, name)) for key, name in keys.items()}
+            for block, keys in table.items()}
+
+
+def flat_dict(config) -> dict:
+    """``config``'s fields as JSON values by field name, leaving out fields set to None."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {name: _json_value(value) for name, value in values.items() if value is not None}
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return value.to_dict()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def store(config, **values) -> None:
+    """Set normalized field ``values`` on the frozen dataclass ``config``."""
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
 
 
 def is_int(value) -> bool:
@@ -63,9 +99,9 @@ def require_int(value, name: str, lo: int, hi: int | None = None) -> None:
 
 
 def real_setting(value, name: str) -> float:
-    """Config ``value`` as a float; strings and bools raise ``ConfigError``."""
-    if not is_real(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    """Config ``value`` as a float; strings, bools and non-finite numbers raise ``ConfigError``."""
+    if not (is_real(value) and abs(value) <= sys.float_info.max):  # False for NaN
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import (ConfigError, ValidationError, is_int, known_keys, list_setting,
-                     real_setting, require_int)
+from .errors import (ConfigError, ValidationError, block_dict, block_settings, is_int,
+                     list_setting, real_setting, require_int, store)
 from .stft import rfft_bin_frequencies, stft
 from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, energy_entropies,
                        filter_length, row_energies, score_wavelets, shannon_entropy)
@@ -132,6 +132,15 @@ class FeatureMatrix:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+# JSON path of each ExtractionConfig field: {block: {key: field}}
+_JSON_FIELDS = {
+    "stft": {"window": "stft_window", "hop": "stft_hop"},
+    "dwt": {"bank": "wavelet_bank", "depth": "dwt_depth"},
+    "peaks": {"prominence_frac": "peak_prominence_frac",
+              "min_separation_frac": "peak_min_separation_frac"},
+}
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
     stft_window: int = 256
@@ -142,6 +151,11 @@ class ExtractionConfig:
     peak_min_separation_frac: float = 0.05
 
     def __post_init__(self):
+        store(self, wavelet_bank=list_setting(self.wavelet_bank, "dwt.bank"),
+              peak_prominence_frac=real_setting(self.peak_prominence_frac,
+                                                "peaks.prominence_frac"),
+              peak_min_separation_frac=real_setting(self.peak_min_separation_frac,
+                                                    "peaks.min_separation_frac"))
         window = self.stft_window
         if not (is_int(window) and window >= 2) or window & (window - 1):
             raise ConfigError(f"stft window must be a power of two, got {window!r}")
@@ -152,33 +166,18 @@ class ExtractionConfig:
         for name in self.wavelet_bank:
             try:
                 filter_length(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            except (TypeError, ValueError):
+                raise ConfigError(f"unknown wavelet {name!r} in dwt.bank") from None
+        if min(self.peak_prominence_frac, self.peak_min_separation_frac) < 0:
+            raise ConfigError(f"peaks fractions must be >= 0, got {self.peak_prominence_frac} "
+                              f"and {self.peak_min_separation_frac}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExtractionConfig":
-        known_keys(raw, "stft dwt peaks", "extraction")
-        stft_cfg = known_keys(raw.get("stft", {}), "window hop", "stft")
-        dwt_cfg = known_keys(raw.get("dwt", {}), "bank depth", "dwt")
-        peaks = known_keys(raw.get("peaks", {}), "prominence_frac min_separation_frac", "peaks")
-        return cls(
-            stft_window=stft_cfg.get("window", 256),
-            stft_hop=stft_cfg.get("hop", 128),
-            wavelet_bank=list_setting(dwt_cfg.get("bank", WAVELET_BANK), "dwt.bank"),
-            dwt_depth=dwt_cfg.get("depth", 4),
-            peak_prominence_frac=real_setting(peaks.get("prominence_frac", 0.1),
-                                              "peaks.prominence_frac"),
-            peak_min_separation_frac=real_setting(peaks.get("min_separation_frac", 0.05),
-                                                  "peaks.min_separation_frac"),
-        )
+        return cls(**block_settings(raw, _JSON_FIELDS, "extraction"))
 
     def to_dict(self) -> dict:
-        return {
-            "stft": {"window": self.stft_window, "hop": self.stft_hop},
-            "dwt": {"bank": list(self.wavelet_bank), "depth": self.dwt_depth},
-            "peaks": {"prominence_frac": self.peak_prominence_frac,
-                      "min_separation_frac": self.peak_min_separation_frac},
-        }
+        return block_dict(self, _JSON_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,17 @@ evaluation pass, with no refit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, score_test_rows
 from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, fold_roles, make_folds
-from .errors import (ConfigError, RunError, ValidationError, is_real, known_keys, list_setting,
-                     real_setting, require_int)
+from .errors import (ConfigError, RunError, ValidationError, flat_dict, known_keys,
+                     list_setting, real_setting, require_int, store)
 from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureDescriptor, FeatureMatrix,
                            build_feature_matrix, describe)
-from .metrics import METRIC_NAMES, MetricReport
+from .metrics import MetricReport
 from .selector import (SelectionResult, SelectorConfig, mrmr_select, mrms_select,
                        union_recommend)
 
@@ -49,10 +49,10 @@ class RecommendConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        if not (is_real(self.tau) and self.tau > 0):
+        store(self, tau=real_setting(self.tau, "tau"),
+              k_schedule=list_setting(self.k_schedule, "k_schedule"))
+        if self.tau <= 0:
             raise ConfigError(f"tau must be a positive number, got {self.tau!r}")
-        if self.metric not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {self.metric!r}")
         if not self.k_schedule:
             raise ConfigError("k_schedule must not be empty")
         for k in self.k_schedule:
@@ -61,46 +61,32 @@ class RecommendConfig:
         require_int(self.p, "fold count p", MIN_FOLDS, MAX_FOLDS)
         require_int(self.seed, "seed", 0)
         require_int(self.max_level_cap, "max_level_cap", 0, MAX_LEVEL)
-        if self.evaluation.metric != self.metric:
-            object.__setattr__(self, "evaluation", replace(self.evaluation, metric=self.metric))
+        if self.evaluation.metric != self.metric:  # EvalConfig checks the metric name
+            store(self, evaluation=replace(self.evaluation, metric=self.metric))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RecommendConfig":
         try:
             # "pca" belongs to baseline-pca, which reads the same file
-            known_keys(raw, "tau metric k_schedule c p seed max_level_cap selector extraction "
-                            "evaluation pca", "recommend")
-            metric = str(raw.get("metric", "accuracy"))
-            evaluation = dict(raw.get("evaluation", {}))
-            if evaluation.setdefault("metric", metric) != metric:
-                raise ConfigError(f"evaluation.metric {evaluation['metric']!r} disagrees with "
-                                  f"metric {metric!r}; set the metric once, at the top level")
-            return cls(
-                tau=real_setting(raw.get("tau", 0.85), "tau"),
-                metric=metric,
-                k_schedule=list_setting(raw.get("k_schedule", (5, 10, 15, 20)), "k_schedule"),
-                c=raw.get("c", 10),
-                p=raw.get("p", 5),
-                seed=raw.get("seed", 0),
-                max_level_cap=raw.get("max_level_cap", 2),
-                selector=SelectorConfig.from_dict(raw.get("selector", {})),
-                extraction=ExtractionConfig.from_dict(raw.get("extraction", {})),
-                evaluation=EvalConfig.from_dict(evaluation),
-            )
+            settings = dict(known_keys(raw, [f.name for f in fields(cls)] + ["pca"], "recommend"))
+            settings.pop("pca", None)
+            for name, block in (("selector", SelectorConfig), ("extraction", ExtractionConfig),
+                                ("evaluation", EvalConfig)):
+                if name in settings:
+                    settings[name] = block.from_dict(settings[name])
+            config = cls(**settings)
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"malformed recommend config: {exc}") from exc
+        evaluation_metric = raw.get("evaluation", {}).get("metric", config.metric)
+        if evaluation_metric != config.metric:
+            raise ConfigError(f"evaluation.metric {evaluation_metric!r} disagrees with "
+                              f"metric {config.metric!r}; set the metric once, at the top level")
+        return config
 
     def to_dict(self) -> dict:
-        evaluation = self.evaluation.to_dict()
-        del evaluation["metric"]  # the top-level metric is the one setting
-        return {
-            "tau": self.tau, "metric": self.metric,
-            "k_schedule": list(self.k_schedule), "c": self.c, "p": self.p,
-            "seed": self.seed, "max_level_cap": self.max_level_cap,
-            "selector": self.selector.to_dict(),
-            "extraction": self.extraction.to_dict(),
-            "evaluation": evaluation,
-        }
+        out = flat_dict(self)
+        del out["evaluation"]["metric"]  # the top-level metric is the one setting
+        return out
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, is_real, known_keys, real_setting
+from .errors import ConfigError, block_dict, block_settings, real_setting, store
 
 F_SENTINEL = 1e12
 _MIQ_EPS = 1e-12
@@ -347,25 +347,27 @@ def union_recommend(x: SelectionResult, y: SelectionResult, k: int) -> tuple[int
     return tuple(merged[:k])
 
 
+# JSON path of each SelectorConfig field: {block: {key: field}}
+_JSON_FIELDS = {"mrmr": {"objective": "mrmr_objective"}, "mrms": {"beta": "mrms_beta"}}
+
+
 @dataclass(frozen=True)
 class SelectorConfig:
     mrmr_objective: str = "MID"
     mrms_beta: float = 0.5
 
     def __post_init__(self):
-        if self.mrmr_objective not in ("MID", "MIQ"):
-            raise ConfigError(f"mrmr objective must be MID or MIQ, got {self.mrmr_objective!r}")
-        if not (is_real(self.mrms_beta) and self.mrms_beta >= 0):
+        objective = self.mrmr_objective
+        if not (isinstance(objective, str) and objective.upper() in ("MID", "MIQ")):
+            raise ConfigError(f"mrmr objective must be MID or MIQ, got {objective!r}")
+        store(self, mrmr_objective=objective.upper(),
+              mrms_beta=real_setting(self.mrms_beta, "selector.mrms.beta"))
+        if self.mrms_beta < 0:
             raise ConfigError(f"mrms beta must be >= 0, got {self.mrms_beta}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SelectorConfig":
-        known_keys(raw, "mrmr mrms", "selector")
-        mrmr = known_keys(raw.get("mrmr", {}), "objective", "selector.mrmr")
-        mrms = known_keys(raw.get("mrms", {}), "beta", "selector.mrms")
-        return cls(mrmr_objective=str(mrmr.get("objective", "MID")).upper(),
-                   mrms_beta=real_setting(mrms.get("beta", 0.5), "selector.mrms.beta"))
+        return cls(**block_settings(raw, _JSON_FIELDS, "selector"))
 
     def to_dict(self) -> dict:
-        return {"mrmr": {"objective": self.mrmr_objective},
-                "mrms": {"beta": self.mrms_beta}}
+        return block_dict(self, _JSON_FIELDS)

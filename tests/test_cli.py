@@ -234,6 +234,11 @@ class TestRejectBeforeCompute:
         ("recommend", {**FAST_RECOMMEND, "extraction": {"dwt": {"bank": "db4"}}}),
         ("extract", {"max_level": 1.0}),
         ("extract", {"stft": {"window": 256.5}}),
+        ("extract", {"peaks": {"min_separation_frac": float("nan")}}),
+        ("extract", {"peaks": {"prominence_frac": -1}}),
+        ("recommend", {**FAST_RECOMMEND, "tau": float("inf")}),
+        ("recommend", {**FAST_RECOMMEND, "selector": {"mrms": {"beta": float("inf")}}}),
+        ("recommend", {**FAST_RECOMMEND, "evaluation": {"c_grid": [float("inf")]}}),
     ])
     def test_bad_config_number_exits_2_before_reading_signals(
             self, planted_manifest, tmp_path, no_loading, command, config_value, capsys):

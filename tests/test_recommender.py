@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from widefeat.classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_
                                       score_test_rows)
 from widefeat.dataset import fold_roles, make_folds, SignalRecord
 from widefeat.errors import ConfigError, RunError, ValidationError
-from widefeat.feature_bank import parse_lineage_path
+from widefeat.feature_bank import ExtractionConfig, parse_lineage_path
 from widefeat.recommender import (RecommendConfig, exhaustive_refine, interpret,
                                   recommend)
-from widefeat.selector import mrmr_select, mrms_select, union_recommend
+from widefeat.selector import SelectorConfig, mrmr_select, mrms_select, union_recommend
 from widefeat.svm import svm_train
 
 FAST_EVAL = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0, 10.0))
@@ -122,10 +124,46 @@ class TestConfig:
         {"seed": 1.5},
         {"max_level_cap": 1.0},
         {"max_level_cap": True},
+        {"tau": float("inf")},
+        {"tau": float("nan")},
+        {"evaluation": {"c_grid": [float("inf")]}},
+        {"selector": {"mrms": {"beta": float("inf")}}},
+        {"extraction": {"peaks": {"prominence_frac": -1}}},
+        {"extraction": {"peaks": {"prominence_frac": float("inf")}}},
+        {"extraction": {"peaks": {"min_separation_frac": -0.01}}},
+        {"extraction": {"peaks": {"min_separation_frac": float("nan")}}},
     ])
     def test_bad_values_raise_config_error(self, raw):
         with pytest.raises(ConfigError):
             RecommendConfig.from_dict(raw)
+
+    def test_constructor_and_from_dict_agree(self):
+        assert RecommendConfig(tau=1) == RecommendConfig.from_dict({"tau": 1})
+        assert type(RecommendConfig(tau=1).tau) is float
+        assert type(EvalConfig(coef0=1).coef0) is float
+        assert type(EvalConfig.from_dict({"gamma": 1}).gamma) is float
+        assert (SelectorConfig(mrmr_objective="miq")
+                == SelectorConfig.from_dict({"mrmr": {"objective": "miq"}}))
+        assert ExtractionConfig(wavelet_bank=["db4"]).wavelet_bank == ("db4",)
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: ExtractionConfig(wavelet_bank="db4"), "dwt.bank"),
+        (lambda: ExtractionConfig(peak_prominence_frac="0.1"), "peaks.prominence_frac"),
+        (lambda: ExtractionConfig(peak_min_separation_frac=float("nan")),
+         "peaks.min_separation_frac"),
+        (lambda: RecommendConfig(k_schedule=5), "k_schedule"),
+        (lambda: RecommendConfig(tau=float("inf")), "tau"),
+        (lambda: SelectorConfig(mrms_beta=float("inf")), "beta"),
+    ])
+    def test_constructor_rejects_what_from_dict_rejects(self, make, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            make()
+
+    def test_readme_example_config_states_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        after = readme.split("A reasonable starting `recommend.json`:", 1)[1]
+        block = after.split("```json\n", 1)[1].split("```", 1)[0]
+        assert RecommendConfig.from_dict(json.loads(block)) == RecommendConfig(seed=7)
 
     @pytest.mark.parametrize("raw, key", [
         ({"extraction": {"dwt": {"bank": "db4"}}}, "dwt.bank"),
