@@ -47,10 +47,12 @@ class EvalConfig:
             raise ConfigError(f"unknown metric {self.metric!r}; known: {METRIC_NAMES}")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError(f"gamma must be above 0, got {self.gamma!r}")
-        require_int(self.degree, "degree", 1)
-        if self.positive_class is not None and not is_int(self.positive_class):
-            raise ConfigError(f"positive_class must be an integer label, got "
-                              f"{self.positive_class!r}")
+        store(self, degree=require_int(self.degree, "degree", 1))
+        if self.positive_class is not None:
+            if not is_int(self.positive_class):
+                raise ConfigError(f"positive_class must be an integer label, got "
+                                  f"{self.positive_class!r}")
+            store(self, positive_class=int(self.positive_class))
 
     def kernel_specs(self) -> list[KernelSpec]:
         return [KernelSpec(kind=k, gamma=self.gamma, degree=self.degree, coef0=self.coef0)

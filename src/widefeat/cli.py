@@ -21,15 +21,14 @@ import numpy as np
 
 from .classifier_eval import pca_baseline
 from .dataset import fold_roles, load_dataset, load_manifest, make_folds
-from .errors import (ConfigError, RunError, WidefeatError, known_keys, list_setting,
-                     require_int)
+from .errors import (ConfigError, RunError, WidefeatError, json_value, known_keys,
+                     list_setting, require_int, write_json)
 from .feature_bank import MAX_LEVEL, ExtractionConfig, build_feature_matrix
 from .metrics import METRIC_NAMES
 from .recommender import RecommendConfig, interpret, recommend
 from .svm import KERNEL_KINDS
 
 OUT_ENV_VAR = "WIDEFEAT_OUT"
-SCHEMA_VERSION = 1
 
 
 def _new_run_dir(base: Path, seed: int) -> Path:
@@ -52,11 +51,14 @@ def _read_json(path) -> dict:
     return raw
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _finish(run_dir: Path, lines: list[str], *extra: str) -> int:
+    """Write ``lines`` to the run's log.txt, print them and ``extra``, then the run dir."""
+    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
+    print("\n".join(lines))
+    for text in extra:
+        print(text)
+    print(f"artifacts: {run_dir}")
+    return 0
 
 
 def _out_dir(args) -> Path:
@@ -90,10 +92,7 @@ def cmd_extract(args) -> int:
     lines = [f"extracted {matrix.n_features} feature columns from {matrix.n_records} records"]
     for level in sorted(counts):
         lines.append(f"  level {level}: {counts[level]} columns")
-    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"artifacts: {run_dir}")
-    return 0
+    return _finish(run_dir, lines)
 
 
 def _require_seed(args, raw: dict) -> int:
@@ -135,8 +134,7 @@ def cmd_recommend(args) -> int:
     except RunError as exc:
         run_dir = _new_run_dir(_out_dir(args), config.seed)
         dump = run_dir / "trace_dump.json"
-        dump.write_text(json.dumps(
-            {"error": str(exc), "trace": [s.to_dict() for s in (exc.trace or [])]}, indent=2))
+        write_json(dump, {"error": str(exc), "trace": json_value(exc.trace or [])})
         print(f"run failed: {exc}; trace dumped to {dump}", file=sys.stderr)
         return 3
 
@@ -146,7 +144,7 @@ def cmd_recommend(args) -> int:
     rec.to_json(run_dir / "recommendation.json")
     report_text = interpret(rec)
     (run_dir / "lineage_report.txt").write_text(report_text + "\n")
-    _write_json(run_dir / "metrics.json", {
+    write_json(run_dir / "metrics.json", {
         "method": "wide",
         "metric": config.metric,
         "seed": config.seed,
@@ -168,11 +166,7 @@ def cmd_recommend(args) -> int:
         lines.append(f"  eval {config.metric} per fold: {evals}")
         lines.append(f"  test {config.metric} per fold: {tests}")
         lines.append(f"  {name} mean test {config.metric}: {fe.mean_test_metric:.6g}")
-    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(report_text)
-    print(f"artifacts: {run_dir}")
-    return 0
+    return _finish(run_dir, lines, report_text)
 
 
 def cmd_baseline_pca(args) -> int:
@@ -217,20 +211,15 @@ def cmd_baseline_pca(args) -> int:
         })
 
     run_dir = _new_run_dir(_out_dir(args), config.seed)
-    _write_json(run_dir / "metrics.json", {
+    write_json(run_dir / "metrics.json", {
         "method": "pca",
         "metric": config.metric,
         "seed": config.seed,
         "runs": runs,
     })
-    lines = []
-    for r in runs:
-        lines.append(f"pca n={r['n_components']} kernel={kernel} "
-                     f"test {config.metric}: {r['metrics'][config.metric]:.6g}")
-    (run_dir / "log.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"artifacts: {run_dir}")
-    return 0
+    return _finish(run_dir, [f"pca n={r['n_components']} kernel={kernel} "
+                             f"test {config.metric}: {r['metrics'][config.metric]:.6g}"
+                             for r in runs])
 
 
 def _mean_eval_metrics(outcomes, metric: str) -> float:

@@ -1,8 +1,13 @@
-"""Exception types shared across the package, and the checks and JSON layout of config blocks."""
+"""Exception types shared across the package, the checks of config settings, and the
+JSON format of every artifact: ``json_value`` encodes, ``write_json`` writes."""
 
+import json
 import numbers
 import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
+
+SCHEMA_VERSION = 1
 
 
 class WidefeatError(Exception):
@@ -59,20 +64,32 @@ def block_settings(raw: dict, table: dict, where: str) -> dict:
 
 def block_dict(config, table: dict) -> dict:
     """``config``'s fields as JSON values, laid out in the two-level blocks of ``table``."""
-    return {block: {key: _json_value(getattr(config, name)) for key, name in keys.items()}
+    return {block: {key: json_value(getattr(config, name)) for key, name in keys.items()}
             for block, keys in table.items()}
 
 
 def flat_dict(config) -> dict:
     """``config``'s fields as JSON values by field name, leaving out fields set to None."""
     values = {f.name: getattr(config, f.name) for f in fields(config)}
-    return {name: _json_value(value) for name, value in values.items() if value is not None}
+    return {name: json_value(value) for name, value in values.items() if value is not None}
 
 
-def _json_value(value):
+def json_value(value):
+    """``value`` as JSON data: a dataclass through its ``to_dict`` (else ``flat_dict``),
+    a tuple or list as a list of JSON values, anything else as it is."""
     if is_dataclass(value):
-        return value.to_dict()
-    return list(value) if isinstance(value, tuple) else value
+        return value.to_dict() if hasattr(value, "to_dict") else flat_dict(value)
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    return value
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` under ``schema_version`` to ``path``: 2-space indent, sorted keys,
+    a final newline.  The text is encoded before the file opens, so a failed encode
+    leaves no file."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 def store(config, **values) -> None:
@@ -91,11 +108,13 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def require_int(value, name: str, lo: int, hi: int | None = None) -> None:
-    """Raise ``ConfigError`` unless ``value`` is an integer in [lo, hi] (hi None: unbounded)."""
+def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int; ``ConfigError`` unless it is an integer in [lo, hi]
+    (hi None: unbounded)."""
     if not (is_int(value) and lo <= value and (hi is None or value <= hi)):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def real_setting(value, name: str) -> float:

@@ -31,16 +31,14 @@ renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from .errors import (ConfigError, ValidationError, block_dict, block_settings, is_int,
-                     list_setting, real_setting, require_int, store)
+                     list_setting, real_setting, require_int, store, write_json)
 from .stft import rfft_bin_frequencies, stft
 from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, energy_entropies,
                        filter_length, row_energies, score_wavelets, shannon_entropy)
@@ -122,14 +120,9 @@ class FeatureMatrix:
                 writer.writerow([rid] + [repr(float(v)) for v in row])
 
     def descriptors_to_json(self, path) -> None:
-        payload = {
-            "schema_version": 1,
-            "descriptors": [
-                {"id": d.id, "level": d.level, "lineage": list(d.lineage), "name": d.name}
-                for d in self.descriptors
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        write_json(path, {"descriptors": [
+            {"id": d.id, "level": d.level, "lineage": list(d.lineage), "name": d.name}
+            for d in self.descriptors]})
 
 
 # JSON path of each ExtractionConfig field: {block: {key: field}}
@@ -159,8 +152,8 @@ class ExtractionConfig:
         window = self.stft_window
         if not (is_int(window) and window >= 2) or window & (window - 1):
             raise ConfigError(f"stft window must be a power of two, got {window!r}")
-        require_int(self.stft_hop, "stft hop", 1)
-        require_int(self.dwt_depth, "dwt depth", 1)
+        store(self, stft_window=int(window), stft_hop=require_int(self.stft_hop, "stft hop", 1),
+              dwt_depth=require_int(self.dwt_depth, "dwt depth", 1))
         if not self.wavelet_bank:
             raise ConfigError("dwt needs a non-empty wavelet bank")
         for name in self.wavelet_bank:

@@ -26,7 +26,7 @@ class MetricReport:
             raise ValueError(f"unknown metric {name!r}; known: {METRIC_NAMES}")
         return getattr(self, name)
 
-    def as_dict(self) -> dict:
+    def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy, "sensitivity": self.sensitivity,
             "specificity": self.specificity, "precision": self.precision,

@@ -15,15 +15,14 @@ evaluation pass, with no refit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, score_test_rows
 from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, fold_roles, make_folds
-from .errors import (ConfigError, RunError, ValidationError, flat_dict, known_keys,
-                     list_setting, real_setting, require_int, store)
+from .errors import (ConfigError, RunError, ValidationError, flat_dict, json_value, known_keys,
+                     list_setting, real_setting, require_int, store, write_json)
 from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureDescriptor, FeatureMatrix,
                            build_feature_matrix, describe)
 from .metrics import MetricReport
@@ -55,12 +54,11 @@ class RecommendConfig:
             raise ConfigError(f"tau must be a positive number, got {self.tau!r}")
         if not self.k_schedule:
             raise ConfigError("k_schedule must not be empty")
-        for k in self.k_schedule:
-            require_int(k, "every k", 1)
-        require_int(self.c, "refinement cap c", 0, 20)
-        require_int(self.p, "fold count p", MIN_FOLDS, MAX_FOLDS)
-        require_int(self.seed, "seed", 0)
-        require_int(self.max_level_cap, "max_level_cap", 0, MAX_LEVEL)
+        store(self, k_schedule=tuple(require_int(k, "every k", 1) for k in self.k_schedule),
+              c=require_int(self.c, "refinement cap c", 0, 20),
+              p=require_int(self.p, "fold count p", MIN_FOLDS, MAX_FOLDS),
+              seed=require_int(self.seed, "seed", 0),
+              max_level_cap=require_int(self.max_level_cap, "max_level_cap", 0, MAX_LEVEL))
         if self.evaluation.metric != self.metric:  # EvalConfig checks the metric name
             store(self, evaluation=replace(self.evaluation, metric=self.metric))
 
@@ -96,10 +94,6 @@ class FoldSelection:
     mrms: SelectionResult
     union: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {"fold": self.fold, "mrmr": self.mrmr.to_dict(),
-                "mrms": self.mrms.to_dict(), "union": list(self.union)}
-
 
 @dataclass
 class CandidateEval:
@@ -120,10 +114,6 @@ class CandidateEval:
         vals = [v for v in self.eval_metrics if v is not None]
         return float(np.mean(vals)) if vals else -1.0
 
-    def to_dict(self) -> dict:
-        return {"ids": list(self.ids), "source_folds": self.source_folds,
-                "eval_metrics": list(self.eval_metrics), "passed": self.passed}
-
 
 @dataclass
 class TraceStep:
@@ -132,12 +122,6 @@ class TraceStep:
     selections: list[FoldSelection]
     candidates: list[CandidateEval]
     decision: str = "continue"
-
-    def to_dict(self) -> dict:
-        return {"level": self.level, "k": self.k,
-                "selections": [s.to_dict() for s in self.selections],
-                "candidates": [c.to_dict() for c in self.candidates],
-                "decision": self.decision}
 
 
 @dataclass
@@ -153,20 +137,11 @@ class RecommendedSet:
     test_reports: list[MetricReport | None] | None = None
     mean_test_metric: float | None = None
 
-    def to_dict(self, descriptors=None) -> dict:
-        out = {
-            "ids": list(self.ids), "level": self.level, "k": self.k,
-            "eval_metrics": list(self.eval_metrics),
-            "best_fold": self.best_fold, "best_eval_metric": self.best_eval_metric,
-            "min_eval": self.min_eval, "mean_eval": self.mean_eval,
-            "mean_test_metric": self.mean_test_metric,
-        }
-        if self.test_reports is not None:
-            out["test_reports"] = [r.as_dict() if r else None for r in self.test_reports]
-        if descriptors is not None:
-            out["names"] = [descriptors[i].name for i in self.ids]
-            out["lineages"] = [list(descriptors[i].lineage) for i in self.ids]
-        return out
+    def to_dict(self, descriptors) -> dict:
+        # mean_test_metric stays in the output even when it is None
+        return {**flat_dict(self), "mean_test_metric": self.mean_test_metric,
+                "names": [descriptors[i].name for i in self.ids],
+                "lineages": [list(descriptors[i].lineage) for i in self.ids]}
 
 
 @dataclass
@@ -176,10 +151,6 @@ class RefinementResult:
     evaluations: list[dict]
     note: str = ""
     skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {"base_ids": list(self.base_ids), "chosen_ids": list(self.chosen_ids),
-                "evaluations": self.evaluations, "note": self.note, "skipped": self.skipped}
 
 
 @dataclass
@@ -198,21 +169,18 @@ class Recommendation:
     def to_dict(self) -> dict:
         d = self.matrix.descriptors
         return {
-            "schema_version": 1,
             "config": self.config.to_dict(),
             "fe1": self.fe1.to_dict(d),
             "fe2": self.fe2.to_dict(d),
             "level_reached": self.level_reached,
             "target_met": self.target_met,
             "trace_note": self.trace_note,
-            "trace": [s.to_dict() for s in self.trace],
-            "refinement": self.refined.to_dict() if self.refined else None,
+            "trace": json_value(self.trace),
+            "refinement": json_value(self.refined),
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _eval_metrics(outcomes: list[FoldOutcome], metric: str) -> tuple[float | None, ...]:

@@ -128,8 +128,9 @@ class SelectionResult:
         return SelectionResult(method=self.method, k=k, ranked_ids=self.ranked_ids[:k],
                                step_scores=self.step_scores[:k])
 
-    def to_dict(self, names=None) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        # steps are built inline: json_value on each SelectionStep is several times slower
+        return {
             "method": self.method,
             "k": self.k,
             "ranked_ids": list(self.ranked_ids),
@@ -139,9 +140,6 @@ class SelectionResult:
                 for s in self.step_scores
             ],
         }
-        if names is not None:
-            out["names"] = [names[i] for i in self.ranked_ids]
-        return out
 
 
 def _greedy_argmax(scores: np.ndarray, available: np.ndarray) -> int:

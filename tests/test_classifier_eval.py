@@ -92,8 +92,8 @@ class TestEvaluateFeatureSet:
             redo = score_test_rows(evaluate_feature_set(mutated, labels, (0, 1, 2), plan, config),
                                    mutated, labels, plan, config)
             assert redo[fold].kernel == baseline[fold].kernel
-            assert redo[fold].eval_report.as_dict() == baseline[fold].eval_report.as_dict()
-            assert redo[fold].test_report.as_dict() != baseline[fold].test_report.as_dict()
+            assert redo[fold].eval_report.to_dict() == baseline[fold].eval_report.to_dict()
+            assert redo[fold].test_report.to_dict() != baseline[fold].test_report.to_dict()
 
     def test_test_row_mutator_only_touches_test_metrics(self):
         values, labels = planted_matrix(seed=7)
@@ -104,9 +104,9 @@ class TestEvaluateFeatureSet:
         garbled = score_test_rows(outcomes, values, labels, plan, config,
                                   test_row_mutator=lambda rows: rows * 0.0 - 50.0)
         for a, b in zip(clean, garbled):
-            assert a.eval_report.as_dict() == b.eval_report.as_dict()
+            assert a.eval_report.to_dict() == b.eval_report.to_dict()
             assert a.kernel == b.kernel
-            assert a.test_report.as_dict() != b.test_report.as_dict()
+            assert a.test_report.to_dict() != b.test_report.to_dict()
 
     def test_single_class_training_fold_marked_failed(self):
         labels = np.array([0] * 10 + [1] * 40)

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import sine_records, write_csv_dataset, write_wav
 from widefeat import cli, recommender
+from widefeat.classifier_eval import FoldOutcome
 from widefeat.cli import main
 from widefeat.dataset import SignalRecord
+from widefeat.errors import write_json
 from widefeat.metrics import METRIC_NAMES
 
 
@@ -27,6 +29,20 @@ FAST_RECOMMEND = {
     "tau": 0.9, "p": 5, "seed": 5, "k_schedule": [5], "c": 0, "max_level_cap": 1,
     "evaluation": {"kernels": ["linear", "rbf"], "c_grid": [1.0, 10.0]},
 }
+
+
+def all_folds_failed(matrix, labels, ids, plan, config):
+    return [FoldOutcome(fold=f, eval_report=None, test_report=None,
+                        feature_ids=tuple(ids), kernel="", failed=True)
+            for f in range(plan.p)]
+
+
+def assert_artifact_format(path):
+    """Every JSON artifact: schema_version 1, sorted keys, 2-space indent, final newline."""
+    text = path.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n", path.name
+    assert payload["schema_version"] == 1, path.name
 
 
 class TestExtract:
@@ -128,6 +144,21 @@ class TestRecommend:
             outs.append(((run_dir / "recommendation.json").read_bytes(),
                          (run_dir / "metrics.json").read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_run_error_exits_3_and_dumps_trace(self, planted_manifest, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.setattr(recommender, "evaluate_feature_set", all_folds_failed)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(FAST_RECOMMEND))
+        out = tmp_path / "runs"
+        assert run_cli("recommend", planted_manifest, "--config", config,
+                       "--out", out) == 3
+        assert "trace_dump.json" in capsys.readouterr().err
+        dump = next(out.iterdir()) / "trace_dump.json"
+        assert_artifact_format(dump)
+        payload = json.loads(dump.read_text())
+        assert payload["error"] == "every fold failed in every evaluation"
+        assert payload["trace"]
 
     def test_flag_overrides(self, planted_manifest, tmp_path):
         out = tmp_path / "runs"
@@ -296,6 +327,27 @@ class TestBaselinePca:
         wide = json.loads((next(out_wide.iterdir()) / "metrics.json").read_text())
         pca = json.loads((next(out_pca.iterdir()) / "metrics.json").read_text())
         assert set(wide["metrics"]) == set(pca["runs"][0]["metrics"])
+
+
+class TestJsonArtifacts:
+    # recommend's trace_dump.json is checked in TestRecommend's run-error test
+    @pytest.mark.parametrize("command", ["extract", "recommend", "baseline-pca"])
+    def test_every_artifact_has_one_format(self, command, planted_manifest, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(FAST_RECOMMEND))
+        out = tmp_path / "runs"
+        extra = ["--max-level", 1] if command == "extract" else ["--config", config]
+        assert run_cli(command, planted_manifest, *extra, "--out", out) == 0
+        artifacts = sorted(next(out.iterdir()).glob("*.json"))
+        assert artifacts
+        for path in artifacts:
+            assert_artifact_format(path)
+
+    def test_failed_encode_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            write_json(path, {"x": object()})
+        assert not path.exists()
 
 
 class TestReport:

@@ -59,8 +59,8 @@ class TestComputeMetrics:
         assert a.sensitivity == b.sensitivity
         assert a.specificity == b.specificity
 
-    def test_as_dict_keys(self):
+    def test_to_dict_keys(self):
         predicted, actual = confusion_fixture()
-        payload = compute_metrics(predicted, actual, 1).as_dict()
+        payload = compute_metrics(predicted, actual, 1).to_dict()
         assert set(payload) == {"accuracy", "sensitivity", "specificity", "precision",
                                 "f_score", "confusion"}

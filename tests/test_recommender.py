@@ -70,6 +70,22 @@ class TestConfig:
         assert len(names) == len(set(names)) == 22
         assert ("metric",) in paths and ("seed",) in paths
 
+    @pytest.mark.parametrize("cls, name, value", [
+        (RecommendConfig, "c", 3), (RecommendConfig, "p", 6), (RecommendConfig, "seed", 3),
+        (RecommendConfig, "max_level_cap", 1), (RecommendConfig, "k_schedule", (5, 10)),
+        (EvalConfig, "degree", 2), (EvalConfig, "positive_class", 1),
+        (ExtractionConfig, "stft_window", 64), (ExtractionConfig, "stft_hop", 64),
+        (ExtractionConfig, "dwt_depth", 3),
+    ])
+    def test_numpy_integer_settings_stored_as_python_ints(self, cls, name, value):
+        numpy_value = (tuple(np.int64(v) for v in value) if isinstance(value, tuple)
+                       else np.int64(value))
+        config = cls(**{name: numpy_value})
+        stored = getattr(config, name)
+        assert stored == value
+        assert all(type(v) is int for v in (stored if isinstance(stored, tuple) else [stored]))
+        json.dumps(config.to_dict())
+
     def test_evaluation_metric_must_agree(self):
         agreeing = RecommendConfig.from_dict(
             {"metric": "f_score", "evaluation": {"metric": "f_score"}})
@@ -262,7 +278,7 @@ class TestTraceAndSets:
         full = recommend(records, fast_config(seed=5, max_level_cap=2))
         assert full.level_reached == 0
         capped = recommend(records, fast_config(seed=5, max_level_cap=0))
-        assert [s.to_dict() for s in capped.trace] == [s.to_dict() for s in full.trace]
+        assert capped.trace == full.trace
         assert capped.fe1.ids == full.fe1.ids
         assert capped.fe2.ids == full.fe2.ids
 
@@ -275,8 +291,8 @@ class TestTraceAndSets:
                                 test_row_mutator=lambda rows: rows * 0.0 + 1e9)
             assert clean.fe1.ids == garbled.fe1.ids
             assert clean.fe2.ids == garbled.fe2.ids
-            assert [s.to_dict() for s in clean.trace] == [s.to_dict() for s in garbled.trace]
-            assert clean.fe1.test_reports[0].as_dict() != garbled.fe1.test_reports[0].as_dict()
+            assert clean.trace == garbled.trace
+            assert clean.fe1.test_reports[0].to_dict() != garbled.fe1.test_reports[0].to_dict()
 
     def test_all_folds_failed_raises_run_error(self, monkeypatch):
         def all_failed(matrix, labels, ids, plan, config):
