@@ -5,8 +5,8 @@ from .classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set, pca
                               score_test_rows)
 from .dataset import (DatasetManifest, FoldPlan, SignalRecord, fold_roles, load_dataset,
                       load_manifest, make_folds)
-from .errors import (ConfigError, DegenerateSignalError, LoadError, RunError,
-                     TrainingError, ValidationError, WidefeatError)
+from .errors import (ConfigError, LoadError, RunError, TrainingError, ValidationError,
+                     WidefeatError)
 from .feature_bank import (ExtractionConfig, FeatureDescriptor, FeatureMatrix,
                            build_feature_matrix, describe, extract_level0, extract_level1,
                            extract_level2, parse_lineage_path)
@@ -18,7 +18,7 @@ from .selector import (RelevanceCache, SelectionResult, SelectorConfig, f_statis
                        union_recommend)
 from .stft import stft
 from .svm import KernelSpec, SvmModel, decision_function, svm_predict, svm_train
-from .wavelets import (WAVELET_BANK, WaveletChoice, dwt_decompose, dwt_max_depth,
-                       dwt_reconstruct, register_wavelet, select_mother_wavelet)
+from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, dwt_reconstruct,
+                       register_wavelet)
 
 __version__ = "0.1.0"

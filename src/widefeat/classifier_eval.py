@@ -141,14 +141,9 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
             for fold in range(plan.p)]
 
 
-def score_test_rows(outcomes, matrix, labels, plan: FoldPlan, config: EvalConfig,
-                    test_row_mutator=None) -> list[FoldOutcome]:
-    """Return ``outcomes`` with each fold's test rows scored by its kept model.
-
-    ``test_row_mutator``, when given, transforms the test-row submatrix right
-    before scoring; it exists so callers can verify that test rows never
-    influence anything but the reported test metrics.
-    """
+def score_test_rows(outcomes, matrix, labels, plan: FoldPlan,
+                    config: EvalConfig) -> list[FoldOutcome]:
+    """Return ``outcomes`` with each fold's test rows scored by its kept model."""
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
     positive = _positive_class(labels, config)
@@ -156,8 +151,6 @@ def score_test_rows(outcomes, matrix, labels, plan: FoldPlan, config: EvalConfig
     for outcome in outcomes:
         test_idx = fold_roles(plan, outcome.fold)[2]
         test_rows = values[np.ix_(test_idx, outcome.feature_ids)]
-        if test_row_mutator is not None:
-            test_rows = np.asarray(test_row_mutator(test_rows), dtype=float)
         scored.append(_with_test_report(outcome, test_rows, labels[test_idx], positive))
     return scored
 

@@ -183,6 +183,8 @@ def cmd_baseline_pca(args) -> int:
                 else list_setting(pca_raw.get("grid", (5, 10, 15)), "pca.grid"))
     except ValueError:
         raise ConfigError(f"--components must be integers, got {args.components!r}") from None
+    if not grid:
+        raise ConfigError("pca.grid must hold at least one component count")
     for n in grid:
         require_int(n, "every pca.grid entry", 1)
     kernel = pca_raw.get("kernel", "rbf")
@@ -190,9 +192,9 @@ def cmd_baseline_pca(args) -> int:
         raise ConfigError(f"pca kernel must be one of {KERNEL_KINDS}, got {kernel!r}")
 
     records = load_dataset(manifest)
+    plan = make_folds(records, config.p, config.seed)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
     labels = np.asarray([r.label for r in records])
-    plan = make_folds(records, config.p, config.seed)
 
     min_train = min(fold_roles(plan, f)[0].size for f in range(plan.p))
     cap = min(matrix.n_features, min_train)
@@ -286,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Feature extraction, selection and recommendation for 1-D sensor signals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_manifest=True):
-        if with_manifest:
-            p.add_argument("manifest", help="dataset manifest JSON")
+    def add_common(p):
+        p.add_argument("manifest", help="dataset manifest JSON")
         p.add_argument("--config", help="configuration JSON file")
         p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./runs)")
         p.add_argument("--seed", type=int, default=None)

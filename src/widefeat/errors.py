@@ -26,10 +26,6 @@ class ConfigError(WidefeatError):
     """A configuration value is out of its allowed range."""
 
 
-class DegenerateSignalError(WidefeatError):
-    """An input signal carries no usable detail content (e.g. constant)."""
-
-
 class TrainingError(WidefeatError):
     """A classifier could not be trained on the given rows."""
 

@@ -23,8 +23,8 @@ from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, scor
 from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, fold_roles, make_folds
 from .errors import (ConfigError, RunError, ValidationError, flat_dict, json_value, known_keys,
                      list_setting, real_setting, require_int, store, write_json)
-from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureDescriptor, FeatureMatrix,
-                           build_feature_matrix, describe)
+from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureMatrix, build_feature_matrix,
+                           describe)
 from .metrics import MetricReport
 from .selector import (SelectionResult, SelectorConfig, mrmr_select, mrms_select,
                        union_recommend)
@@ -214,7 +214,7 @@ def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
     return RefinementResult(base_ids=base, chosen_ids=ranked[0][1], evaluations=evaluations)
 
 
-def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recommendation:
+def recommend(records, config: RecommendConfig) -> Recommendation:
     """Run the full selection loop and return the recommended feature sets.
 
     Fe1 is the candidate scoring the single best evaluation metric in any
@@ -316,7 +316,7 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
 
     for fe in (fe1, fe2):
         fe.test_reports = [o.test_report for o in score_test_rows(
-            outcomes[fe.ids], matrix, labels, plan, config.evaluation, test_row_mutator)]
+            outcomes[fe.ids], matrix, labels, plan, config.evaluation)]
         vals = [r.value(config.metric) for r in fe.test_reports if r is not None]
         fe.mean_test_metric = float(np.mean(vals)) if vals else None
 
@@ -325,12 +325,9 @@ def recommend(records, config: RecommendConfig, test_row_mutator=None) -> Recomm
         trace=trace, refined=refined, config=config, matrix=matrix, plan=plan)
 
 
-def interpret(recommendation: Recommendation,
-              descriptors: tuple[FeatureDescriptor, ...] | None = None) -> str:
+def interpret(recommendation: Recommendation) -> str:
     """Render the recommended sets as a lineage report for expert review."""
-    if descriptors is None:
-        descriptors = recommendation.matrix.descriptors
-    by_id = {d.id: d for d in descriptors}
+    by_id = {d.id: d for d in recommendation.matrix.descriptors}
     lines = []
     for title, fe in (("Fe1 (best single-fold performance)", recommendation.fe1),
                       ("Fe2 (most consistent across folds)", recommendation.fe2)):

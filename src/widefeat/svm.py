@@ -5,7 +5,7 @@ two variables at a time (Platt's SMO) while keeping the dual gradient.  Each
 step takes the maximal violator i and, among the rows that can move against
 it, the partner j whose analytic two-variable step lowers the objective most
 (the second-order rule WSS2 of Fan, Chen & Lin, JMLR 2005).  Training stops
-when the KKT gap -- the largest violation by any pair -- falls below ``tol``.
+when the KKT gap -- the largest violation by any pair -- falls below ``_TOL`` = 1e-3.
 Per-sample box constraints carry the class weights, so imbalanced data can
 penalize minority errors harder.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import TrainingError
 
 KERNEL_KINDS = ("linear", "rbf", "poly")
+_TOL = 1e-3  # KKT gap at which training stops
 _TAU = 1e-12  # floor on the pair curvature, for non-positive-definite kernels
 _MAX_ITER = 1_000_000  # pair updates before training gives up
 
@@ -84,15 +85,14 @@ def _resolve_class_weights(labels: np.ndarray, mode: str) -> dict[int, float]:
 
 
 def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
-              class_weights: str = "balanced", positive_label: int | None = None,
-              tol: float = 1e-3) -> SvmModel:
+              class_weights: str = "balanced", positive_label: int | None = None) -> SvmModel:
     """Fit a binary SVM on ``rows`` (records x features).
 
     Standardization statistics come from these rows only; zero-variance
     columns standardize to constant 0.  Training stops once the KKT gap is
-    below ``tol``.  Raises :class:`TrainingError` when a row is not finite,
-    when only one class is present, or when the gap is still open after
-    ``_MAX_ITER`` pair updates.
+    below ``_TOL`` = 1e-3.  Raises :class:`TrainingError` when a row is not
+    finite, when only one class is present, or when the gap is still open
+    after ``_MAX_ITER`` pair updates.
     """
     x = np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
@@ -131,7 +131,7 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         low = np.where(pos, alphas > 0.0, alphas < box)
         i = int(np.argmax(np.where(up, yg, -np.inf)))
         gap = yg[i] - yg
-        if gap[low].max() < tol:
+        if gap[low].max() < _TOL:
             break
         curv = np.maximum(diag[i] + diag - 2.0 * gram[i], _TAU)
         j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
@@ -144,9 +144,9 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
             alphas[t] = end if step == room else min(max(alphas[t] + sign * step, 0.0), box[t])
         yg -= step * (gram[i] - gram[j])
     else:
-        raise TrainingError(f"SMO did not reach KKT gap {tol:g} in {_MAX_ITER} iterations")
+        raise TrainingError(f"SMO did not reach KKT gap {_TOL:g} in {_MAX_ITER} iterations")
     # any bias between max(yg over up) and min(yg over low) meets the KKT
-    # conditions; the midpoint keeps every violation under tol / 2
+    # conditions; the midpoint keeps every violation under _TOL / 2
     bias = 0.5 * (yg[i] + yg[low].min())
 
     keep = alphas > 1e-10

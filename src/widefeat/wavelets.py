@@ -1,4 +1,4 @@
-"""Orthogonal discrete wavelet transform and automatic mother-wavelet choice.
+"""Orthogonal discrete wavelet transform and the detail score that ranks mother wavelets.
 
 The transform is a periodized Mallat pyramid: each level filters the current
 approximation with the analysis pair of an orthogonal filter bank and
@@ -10,11 +10,7 @@ adjoint reconstructs the input to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DegenerateSignalError
 
 # Orthonormal scaling filters (lowpass reconstruction side).  haar/db2 match
 # their closed forms; db4/db8 come from minimal-phase spectral factorization
@@ -204,15 +200,6 @@ def shannon_entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-@dataclass(frozen=True)
-class WaveletChoice:
-    """Outcome of automatic mother-wavelet selection."""
-
-    wavelet_name: str
-    ratio: float
-    per_candidate_scores: dict[str, float]
-
-
 def row_energies(block: np.ndarray) -> np.ndarray:
     """``np.dot(row, row)`` for each row of a 2-D block.
 
@@ -247,24 +234,3 @@ def score_wavelets(block: np.ndarray, bank, depth: int) -> np.ndarray:
         score[energy <= 0.0] = np.nan
         scores.append(score)
     return np.array(scores)
-
-
-def select_mother_wavelet(signal, bank=WAVELET_BANK, depth: int = 4) -> WaveletChoice:
-    """Score every candidate in ``bank`` on ``signal`` and keep the best.
-
-    ``signal`` may be a raw sample sequence or any object with a ``samples``
-    attribute.  Ties break in bank order.
-    """
-    samples = np.asarray(getattr(signal, "samples", signal), dtype=float)
-    bank = list(bank)
-    if not bank:
-        raise ValueError("wavelet bank must not be empty")
-    if samples.size < 2 ** depth:
-        raise ValueError(f"signal of {samples.size} samples is too short for depth {depth}")
-    scores = score_wavelets(samples[None, :], bank, depth)[:, 0]
-    if np.isnan(scores).any():
-        raise DegenerateSignalError(
-            "all detail coefficients are zero; cannot score mother wavelets")
-    best = int(np.argmax(scores))  # the first of equal scores: ties keep bank order
-    return WaveletChoice(wavelet_name=bank[best], ratio=float(scores[best]),
-                         per_candidate_scores=dict(zip(bank, map(float, scores))))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from widefeat.classifier_eval import score_test_rows
 from widefeat.dataset import SignalRecord
 
 
@@ -57,6 +58,12 @@ def amplitude_shape_records(n_records=80, n=64, rate=100.0, seed=7):
         records.append(SignalRecord(
             id=f"a{i}", samples=x, sample_rate_hz=rate, label=label))
     return records
+
+
+def score_garbled_test_rows(outcomes, matrix, labels, plan, config):
+    """Stand-in for ``widefeat.recommender.score_test_rows`` that scores every fold's
+    test rows as if each of their values were 1e9."""
+    return score_test_rows(outcomes, np.full(matrix.values.shape, 1e9), labels, plan, config)
 
 
 def write_csv_dataset(tmp_path: Path, records, rate, class_names=("neg", "pos")):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import amplitude_shape_records, sine_records
+from conftest import amplitude_shape_records, score_garbled_test_rows, sine_records
+from widefeat import recommender
 from widefeat.classifier_eval import EvalConfig, pca_baseline
 from widefeat.dataset import SignalRecord, make_folds
 from widefeat.feature_bank import build_feature_matrix
@@ -197,7 +198,7 @@ def test_exhaustive_refinement():
         assert len(count.evaluations) == 2 ** 4 - 1
 
 
-def test_test_set_hygiene():
+def test_test_set_hygiene(monkeypatch):
     with criterion("test-set hygiene across 5 seeded trials", 60):
         records = sine_records(n_records=40, n=256, rate=200.0, freqs=(20.0, 20.0),
                                amps=(1.0, 2.0), snr_db=20.0, seed=37)
@@ -205,8 +206,9 @@ def test_test_set_hygiene():
             config = RecommendConfig(tau=0.9, p=5, seed=seed, k_schedule=(5,), c=0,
                                      evaluation=FAST_EVAL)
             clean = recommend(records, config)
-            garbled = recommend(records, config,
-                                test_row_mutator=lambda rows: rows * 0.0 + 1e9)
+            with monkeypatch.context() as patch:
+                patch.setattr(recommender, "score_test_rows", score_garbled_test_rows)
+                garbled = recommend(records, config)
             assert clean.fe1.ids == garbled.fe1.ids
             assert clean.fe2.ids == garbled.fe2.ids
 

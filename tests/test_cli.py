@@ -209,6 +209,13 @@ class TestRejectBeforeCompute:
                        "--out", tmp_path / "runs") == 2
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["recommend", "--seed", 1], ["baseline-pca"]])
+    def test_unfillable_folds_exit_2(self, tmp_path, no_extraction, command, capsys):
+        records = sine_records(n_records=16, n=128, rate=100.0, seed=3)  # 8 per class
+        manifest = write_csv_dataset(tmp_path, records, rate=100.0)
+        assert run_cli(*command, manifest, "--folds", 10, "--out", tmp_path / "runs") == 2
+        assert "needs >= 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config_text, flags", [
         ("[1, 2]", []),
         (json.dumps({**FAST_RECOMMEND, "pca": {"kernel": "sigmoid"}}), []),
@@ -281,7 +288,7 @@ class TestRejectBeforeCompute:
 
     @pytest.mark.parametrize("pca", [
         {"grid": [2.9, 3.5]}, {"grid": [0]}, {"grid": ["5"]}, {"grid": [True]}, {"grid": 5},
-        {"kernel": 1}, {"kernel": ["rbf"]}, {"components": [5]}, [5],
+        {"kernel": 1}, {"kernel": ["rbf"]}, {"components": [5]}, [5], {"grid": []},
     ])
     def test_bad_pca_block_exits_2_before_reading_signals(
             self, planted_manifest, tmp_path, no_loading, pca, capsys):

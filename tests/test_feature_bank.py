@@ -7,13 +7,13 @@ from scipy import stats as scipy_stats
 from oracles import catalog_reference, dwt_reference, entropy_reference
 from widefeat import feature_bank
 from widefeat.dataset import MIN_SAMPLES, SignalRecord
-from widefeat.errors import ConfigError, DegenerateSignalError
+from widefeat.errors import ConfigError
 from widefeat.feature_bank import (STAT_NAMES, ExtractionConfig, _statistics, band_names,
                                    build_feature_matrix, choose_dataset_wavelet, describe,
                                    extract_level0, extract_level1, extract_level2,
                                    parse_lineage_path)
 from widefeat.wavelets import (_SCALING_FILTERS, WAVELET_BANK, dwt_decompose, dwt_max_depth,
-                               select_mother_wavelet, shannon_entropy)
+                               score_wavelets, shannon_entropy)
 
 
 def record_from(samples, rate=100.0, label=0, rid="r"):
@@ -275,6 +275,20 @@ class TestBuildMatrix:
         m = build_feature_matrix(records, ExtractionConfig(), max_level=2)
         np.testing.assert_array_equal(m.values[0], m.values[1])
 
+    def test_labels_do_not_reach_features(self):
+        # the wavelet vote and the depth clamp read every record's samples but
+        # no label, so test-fold labels cannot shape any feature value
+        rng = np.random.default_rng(13)
+        lengths = [300, 257, 300, 128, 300, 257]
+        samples = [rng.standard_normal(n) for n in lengths]
+        matrices = [build_feature_matrix(
+            [record_from(x, rid=f"r{i}", label=label) for i, (x, label) in
+             enumerate(zip(samples, labels))], ExtractionConfig(), max_level=2)
+            for labels in ([0, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 0], [0] * 6)]
+        for m in matrices[1:]:
+            assert m.values.tobytes() == matrices[0].values.tobytes()
+            assert m.descriptors == matrices[0].descriptors
+
     def test_mixed_rates_rejected(self):
         records = [record_from(np.arange(64.0), rate=100.0, rid="a", label=0),
                    record_from(np.arange(64.0), rate=200.0, rid="b", label=1)]
@@ -330,10 +344,9 @@ class TestBuildMatrix:
         vote_depth = min(config.dwt_depth, min(dwt_max_depth(128, w) for w in WAVELET_BANK))
         votes = dict.fromkeys(WAVELET_BANK, 0)
         for record in records:
-            try:
-                votes[select_mother_wavelet(record, WAVELET_BANK, vote_depth).wavelet_name] += 1
-            except DegenerateSignalError:
-                continue
+            scores = score_wavelets(record.samples[None, :], WAVELET_BANK, vote_depth)[:, 0]
+            if not np.isnan(scores).any():  # a record whose details vanish abstains
+                votes[WAVELET_BANK[int(np.argmax(scores))]] += 1
         assert wavelet == max(WAVELET_BANK, key=votes.get)
 
         pinned = ExtractionConfig(stft_window=64, stft_hop=32, wavelet_bank=(wavelet,),

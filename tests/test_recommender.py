@@ -7,7 +7,7 @@ import pytest
 
 import widefeat.classifier_eval as classifier_eval_module
 import widefeat.recommender as recommender_module
-from conftest import amplitude_shape_records, sine_records
+from conftest import amplitude_shape_records, score_garbled_test_rows, sine_records
 from widefeat.classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set,
                                       score_test_rows)
 from widefeat.dataset import fold_roles, make_folds, SignalRecord
@@ -101,6 +101,7 @@ class TestConfig:
         {"selector": {"mrmr": {"objective": "XYZ"}}},
         {"selector": {"mrms": {"beta": -1}}},
         {"extraction": {"dwt": {"bank": ["nope"]}}},
+        {"extraction": {"dwt": {"bank": []}}},
         {"extraction": {"stft": {"window": 100}}},
         {"tau": "high"},
         {"k_schedule": 5},
@@ -282,17 +283,79 @@ class TestTraceAndSets:
         assert capped.fe1.ids == full.fe1.ids
         assert capped.fe2.ids == full.fe2.ids
 
-    def test_test_set_hygiene_over_seeds(self):
+    def test_test_set_hygiene_over_seeds(self, monkeypatch):
         records = energy_split_records(seed=37)
         for seed in range(5):
             config = fast_config(seed=seed)
             clean = recommend(records, config)
-            garbled = recommend(records, config,
-                                test_row_mutator=lambda rows: rows * 0.0 + 1e9)
+            with monkeypatch.context() as patch:
+                patch.setattr(recommender_module, "score_test_rows", score_garbled_test_rows)
+                garbled = recommend(records, config)
             assert clean.fe1.ids == garbled.fe1.ids
             assert clean.fe2.ids == garbled.fe2.ids
             assert clean.trace == garbled.trace
             assert clean.fe1.test_reports[0].to_dict() != garbled.fe1.test_reports[0].to_dict()
+
+    def test_each_call_sees_only_its_fold_rows(self, monkeypatch):
+        # spies record the rows handed to every selection, fit and prediction;
+        # each call's fold follows from the order the loop makes the calls in
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((recommender_module, "mrmr_select"),
+                            (recommender_module, "mrms_select"),
+                            (recommender_module, "evaluate_feature_set"),
+                            (classifier_eval_module, "svm_train"),
+                            (classifier_eval_module, "svm_predict")):
+            spy(owner, name)
+        # tau above 1 runs every level, and c=3 refines the 3-feature Fe2
+        rec = recommend(energy_split_records(), fast_config(tau=1.01, k_schedule=(3,), c=3))
+        values, p = rec.matrix.values, rec.plan.p
+        roles = [fold_roles(rec.plan, fold) for fold in range(p)]
+        fits_per_fold = len(FAST_EVAL.kernels) * len(FAST_EVAL.c_grid)
+
+        # per level, each fold in turn runs mRMR, then MRMS
+        selections = [args for name, args in calls if name.endswith("_select")]
+        assert len(selections) == 2 * p * (rec.config.max_level_cap + 1)
+        for i, (sub, *_) in enumerate(selections):
+            train_idx, eval_idx, _ = roles[i // 2 % p]
+            n_cols = rec.matrix.columns_up_to_level(i // (2 * p))
+            rows = np.sort(np.concatenate([train_idx, eval_idx]))
+            np.testing.assert_array_equal(sub, values[rows, :n_cols])
+
+        # each evaluation fits every kernel and C per fold, in fold order, and
+        # scores each model on that fold's eval rows right after its fit
+        last_evaluation = max(i for i, (name, _) in enumerate(calls)
+                              if name == "evaluate_feature_set")
+        test_predictions = []
+        for i, (name, args) in enumerate(calls):
+            if name == "evaluate_feature_set":
+                ids, fits = args[2], 0
+            elif name == "svm_train":
+                train_idx, eval_idx, _ = roles[fits // fits_per_fold]
+                np.testing.assert_array_equal(args[0], values[np.ix_(train_idx, ids)])
+                fits += 1
+            elif name == "svm_predict" and calls[i - 1][0] == "svm_train":
+                np.testing.assert_array_equal(args[1], values[np.ix_(eval_idx, ids)])
+            elif name == "svm_predict":
+                assert i > last_evaluation
+                test_predictions.append(args[1])
+        names = [name for name, _ in calls]
+        assert names.count("svm_train") == names.count("evaluate_feature_set") * p * fits_per_fold
+        assert rec.refined is not None and not rec.refined.skipped
+        expected = [values[np.ix_(roles[fold][2], fe.ids)]
+                    for fe in (rec.fe1, rec.fe2) for fold in range(p)]
+        assert len(test_predictions) == len(expected)
+        for got, want in zip(test_predictions, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_all_folds_failed_raises_run_error(self, monkeypatch):
         def all_failed(matrix, labels, ids, plan, config):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from widefeat.errors import DegenerateSignalError
 from widefeat.wavelets import (WAVELET_BANK, _SCALING_FILTERS, dwt_decompose,
                                dwt_max_depth, dwt_reconstruct, register_wavelet,
-                               select_mother_wavelet)
+                               score_wavelets)
 
 
 class TestDecompose:
@@ -92,25 +91,22 @@ class TestMaxDepth:
 
 
 class TestMotherWaveletChoice:
-    def test_singleton_bank(self):
-        rng = np.random.default_rng(0)
-        choice = select_mother_wavelet(rng.standard_normal(64), ("haar",), 3)
-        assert choice.wavelet_name == "haar"
-        assert set(choice.per_candidate_scores) == {"haar"}
+    """``score_wavelets`` on one-row blocks: the scores each record votes with."""
 
-    def test_constant_signal_degenerate(self):
-        with pytest.raises(DegenerateSignalError):
-            select_mother_wavelet(np.full(64, 5.0), ("haar", "db2"), 3)
+    def test_constant_signal_abstains(self):
+        # haar's details of a constant vanish exactly, so the record casts no vote
+        scores = score_wavelets(np.full((1, 64), 5.0), ("haar", "db2"), 3)
+        assert np.isnan(scores[0, 0])
+        assert oracles.detail_score(np.full(64, 5.0), _SCALING_FILTERS["haar"], 3) is None
 
     def test_haar_pulse_concentrates(self):
         # a two-sample blip aligned to the haar grid lands in exactly one
         # haar detail coefficient, so haar's entropy is 0 and its score +inf
         x = np.zeros(64)
         x[0], x[1] = 1.0, -1.0
-        choice = select_mother_wavelet(x, ("haar", "db4"), 4)
-        assert choice.wavelet_name == "haar"
-        assert choice.ratio == float("inf")
-        assert np.isfinite(choice.per_candidate_scores["db4"])
+        haar, db4 = score_wavelets(x[None, :], ("haar", "db4"), 4)[:, 0]
+        assert haar == float("inf")
+        assert np.isfinite(db4)
 
     def test_scores_match_independent_oracle(self):
         # matrix-form periodic analysis recomputes every candidate's score
@@ -120,30 +116,21 @@ class TestMotherWaveletChoice:
         x[31:] = -1.0
         signals.append(x)
         for sig in signals:
-            choice = select_mother_wavelet(sig, WAVELET_BANK, 3)
-            expected = {}
-            for name in WAVELET_BANK:
-                expected[name] = oracles.detail_score(sig, _SCALING_FILTERS[name], 3)
-            for name, score in choice.per_candidate_scores.items():
-                np.testing.assert_allclose(score, expected[name], rtol=1e-9)
-            best = max(WAVELET_BANK, key=lambda nm: expected[nm])
-            assert choice.wavelet_name == best
+            scores = score_wavelets(sig[None, :], WAVELET_BANK, 3)[:, 0]
+            expected = [oracles.detail_score(sig, _SCALING_FILTERS[name], 3)
+                        for name in WAVELET_BANK]
+            np.testing.assert_allclose(scores, expected, rtol=1e-9)
+            assert int(np.argmax(scores)) == int(np.argmax(expected))
 
     def test_step_signal_oracle_winner(self):
         # the plain half-and-half step concentrates poorly for haar under the
-        # detail-only score; the oracle (and the selector) give db4 the win
+        # detail-only score; the oracle (and the score) give db4 the win
         x = np.ones(64)
         x[31:] = -1.0
-        choice = select_mother_wavelet(x, ("haar", "db4"), 4)
-        assert choice.wavelet_name == "db4"
-
-    def test_too_short_for_depth(self):
-        with pytest.raises(ValueError, match="too short"):
-            select_mother_wavelet(np.arange(16.0), ("haar",), 5)
-
-    def test_empty_bank(self):
-        with pytest.raises(ValueError, match="empty"):
-            select_mother_wavelet(np.arange(32.0), (), 2)
+        scores = score_wavelets(x[None, :], ("haar", "db4"), 4)[:, 0]
+        assert scores[1] > scores[0]
+        assert (oracles.detail_score(x, _SCALING_FILTERS["db4"], 4)
+                > oracles.detail_score(x, _SCALING_FILTERS["haar"], 4))
 
 
 class TestRegisterWavelet:
