@@ -31,11 +31,11 @@ renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (ConfigError, ValidationError, block_dict, block_settings, is_int,
                      list_setting, real_setting, require_int, store, write_json)
@@ -298,28 +298,230 @@ def _spectral_features(avg_mag: np.ndarray, freqs: np.ndarray, mags: np.ndarray)
     return out
 
 
-def _peak_features(x: np.ndarray, rate: float, config: ExtractionConfig) -> dict[str, float]:
-    out = dict.fromkeys(PEAK_NAMES, 0.0)
-    span = float(np.max(x) - np.min(x))
-    if span <= 0.0:
-        return out
-    prominence = config.peak_prominence_frac * span
-    distance = max(1, round(config.peak_min_separation_frac * x.size))
-    peaks, _ = find_peaks(x, prominence=prominence, distance=distance)
-    troughs, _ = find_peaks(-x, prominence=prominence, distance=distance)
-    out["peak_count"] = float(peaks.size)
-    out["trough_count"] = float(troughs.size)
-    if peaks.size:
-        amps = x[peaks]
-        out["peak_amp_mean"] = float(np.mean(amps))
-        out["peak_amp_std"] = float(np.std(amps))
-        if peaks.size >= 2:
-            gaps = np.diff(peaks) / rate
-            out["peak_interval_mean_s"] = float(np.mean(gaps))
-            out["peak_interval_std_s"] = float(np.std(gaps))
-    if peaks.size and troughs.size:
-        out["peak_trough_amp_mean"] = float(np.mean(x[peaks]) - np.mean(x[troughs]))
+# ---------------------------------------------------------------------------
+# peaks and troughs: scipy.signal.find_peaks(x, prominence=p, distance=d)[0] in numpy
+#
+# A peak is a run of equal samples higher than the samples on both sides of
+# it, reported at the run's midpoint (rounded down); the first and last
+# samples are never peaks.  The distance rule runs first: peaks are visited
+# from the highest down, in the order of np.argsort over their heights read
+# from the end, and each kept peak removes the peaks less than d samples from
+# it.  The prominence of a kept peak is its height minus the higher of two
+# minima: the lowest sample between it and the nearest strictly higher sample
+# on each side (or the row's end).  Peaks of prominence >= p are reported.
+# The troughs of x are the peaks of -x.
+
+_GRID_CELLS = 1 << 16  # the most (queries x places) a search compares at once
+_DISTANCE_ROUNDS = 6  # parallel rounds of the distance rule before it goes peak by peak
+
+
+def _scan_down(a: np.ndarray, top: np.ndarray, bottom: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """For each query, the largest index from ``top`` down to ``bottom`` whose value
+    exceeds ``h`` (a column), or -1.  An empty range reads ``a[bottom]``."""
+    span = max(int((top - bottom).max()), 0) + 1
+    cols = np.maximum(top[:, None] - np.arange(span), bottom[:, None])
+    hit = a[cols] > h
+    near = np.argmax(hit, axis=1)
+    rows = np.arange(len(top))
+    return np.where(hit[rows, near], cols[rows, near], -1)
+
+
+def _previous_greater(a: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """For each index q in ``at``, the largest index below q whose value exceeds a[q].
+
+    ``a[0]`` must exceed every queried value, so that such an index exists.
+    A query scans the 16 places before it, then the rest of its block, then
+    the nearest earlier block whose maximum exceeds it; blocks are about
+    sqrt(len(a)) places long.
+    """
+    rows = _GRID_CELLS // 16
+    out = np.concatenate([_scan_down(a, q - 1, np.maximum(q - 16, 0), a[q][:, None])
+                          for q in (at[s:s + rows] for s in range(0, len(at), rows))])
+    miss = np.flatnonzero(out < 0)
+    width = math.isqrt(len(a)) + 1
+    block_max = np.maximum.reduceat(a, np.arange(0, len(a), width))
+    rows = max(1, _GRID_CELLS // max(width, len(block_max)))
+    for s in range(0, len(miss), rows):
+        part = miss[s:s + rows]
+        q = at[part]
+        h = a[q][:, None]
+        own = q // width
+        found = _scan_down(a, q - 17, own * width, h)  # an empty range reads a place scanned above
+        far = found < 0
+        if far.any():
+            own, h = own[far], h[far]
+            above = (block_max[:own.max()] > h) & (np.arange(own.max()) < own[:, None])
+            block = above.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+            found[far] = _scan_down(a, block * width + width - 1, block * width, h)
+        out[part] = found
     return out
+
+
+def _distance_rule(g: np.ndarray, heights: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
+    """Mask of the peaks the distance rule keeps.
+
+    ``g`` holds the peaks' positions, sorted; series i owns the next
+    ``counts[i]`` peaks and starts at a multiple of ``d``, at least ``d``
+    places after the previous series ends.  Each round keeps every open peak
+    that outranks the open peaks less than ``d`` from it, and closes the peaks
+    near a kept one; such a peak is always the best of its block, where blocks
+    are ``d`` places long.  Peaks still open after ``_DISTANCE_ROUNDS`` rounds
+    are settled one at a time.
+    """
+    count = len(g)
+    ends = np.cumsum(counts)
+    # by_rank[first + r] is the peak of rank r in the series whose peaks start at first
+    by_rank = np.concatenate([np.argsort(heights[a:b])
+                              for a, b in zip([0] + ends.tolist(), ends.tolist())])
+    by_rank += np.repeat(ends - counts, counts)
+    rank = np.empty(count + 1, dtype=np.intp)
+    rank[by_rank] = np.arange(count)
+    rank[count] = -1  # closes the last window
+    keep = np.zeros(count, dtype=bool)
+    go, ro = g, rank  # the open peaks' positions and ranks
+    for _ in range(_DISTANCE_ROUNDS):
+        # the best open peak of each block; an empty block yields the next block's
+        # first peak, which the window test judges like any other
+        best = by_rank[np.maximum.reduceat(ro, np.searchsorted(go, np.arange(0, go[-1] + 1, d)))]
+        cuts = np.searchsorted(go, g[best][:, None] + (1 - d, d)).ravel()
+        won = np.maximum.reduceat(ro, cuts)[0::2] == rank[best]
+        keep[best[won]] = True
+        lo, hi = cuts.reshape(-1, 2)[won].T
+        near = np.bincount(lo, minlength=len(go)) - np.bincount(hi, minlength=len(go) + 1)[:-1]
+        stay = np.cumsum(near) == 0
+        if not stay.any():
+            return keep
+        go, ro = go[stay], np.append(ro[:-1][stay], -1)
+    ids = by_rank[np.sort(ro[:-1])[::-1]]  # the open peaks, best first
+    lo = np.searchsorted(g, g[ids] - d + 1).tolist()
+    hi = np.searchsorted(g, g[ids] + d - 1, "right").tolist()
+    free = np.ones(count, dtype=bool)
+    for j, a, b in zip(ids.tolist(), lo, hi):
+        if free[j]:
+            keep[j] = True
+            free[a:b] = False
+    return keep
+
+
+def _peaks_and_troughs(x: np.ndarray, prominence: np.ndarray,
+                       distance: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The peaks and the troughs of each row of ``x`` under the rule above.
+
+    ``prominence`` holds one threshold per row.  Row i's entries equal
+    ``find_peaks(x[i], prominence=prominence[i], distance=distance)[0]`` and
+    the same for ``-x[i]``.  Both polarities run together as 2R series:
+    series i < R is row i, series R + i is its negation.
+    """
+    rows, n = x.shape
+    none = [np.empty(0, dtype=np.intp)] * rows
+    if n < 3:
+        return none, none
+    flat = x.ravel()
+    rise = x[:, 1:] > x[:, :-1]
+    fall = x[:, 1:] < x[:, :-1]
+    mark = np.zeros((2 * rows, n), dtype=bool)  # each series' extrema, at their midpoints
+    np.logical_and(rise[:, :-1], fall[:, 1:], out=mark[:rows, 1:-1])
+    np.logical_and(fall[:, :-1], rise[:, 1:], out=mark[rows:, 1:-1])
+    # plateaus: runs s..e of equal samples, rising into and falling out of them
+    eq = np.flatnonzero(rise == fall)  # x[r, i] == x[r, i + 1]
+    if eq.size:
+        eq_row = eq // (n - 1)
+        eq -= eq_row * (n - 1)
+        starts = np.ones(len(eq), dtype=bool)
+        starts[1:] = (eq[1:] != eq[:-1] + 1) | (eq_row[1:] != eq_row[:-1])
+        ends = np.append(starts[1:], True)
+        s, e, r = eq[starts], eq[ends] + 1, eq_row[starts]
+        inner = (s >= 1) & (e <= n - 2)
+        s, e, r = s[inner], e[inner], r[inner]
+        up, down = rise[r, s - 1] & fall[r, e], fall[r, s - 1] & rise[r, e]
+        mid = np.concatenate((r[up] * n + (s[up] + e[up]) // 2,
+                              (r[down] + rows) * n + (s[down] + e[down]) // 2))
+        mark.ravel()[mid] = True
+
+    at = np.flatnonzero(mark)  # series * n + midpoint
+    if not at.size:
+        return none, none
+    counts = np.count_nonzero(mark, axis=1)
+    series = np.repeat(np.arange(2 * rows), counts)
+    troughs = int(counts[:rows].sum())  # the troughs follow the peaks
+    sample = at.copy()  # index into flat
+    sample[troughs:] -= rows * n
+    height = flat[sample]
+    np.negative(height[troughs:], out=height[troughs:])
+    stride = -(-(n + distance) // distance) * distance
+    g = at + series * (stride - n)
+    keep = np.ones(len(g), dtype=bool)
+    if distance > 1:
+        keep = _distance_rule(g, height, counts, distance)
+
+    # Candidates for the nearest higher point: every extremum, and a sentinel
+    # of infinite height before and after each series; cv, cg and cs hold their
+    # heights, positions and sample indices.  A candidate's samples all exceed
+    # the extrema it bounds, so its midpoint may stand for its run.
+    slot = np.arange(len(g)) + 2 * series + 1
+    size = len(g) + 4 * rows
+    cv = np.full(size, np.inf)
+    cg, cs = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    cv[slot], cg[slot], cs[slot] = height, g, sample
+    each = np.arange(2 * rows)
+    row_start = (each % rows) * n
+    bounds = np.append(0, np.cumsum(counts))
+    lead, tail = bounds[:-1] + 2 * each, bounds[1:] + 2 * each + 1
+    cg[lead], cs[lead] = each * stride - 1, row_start - 1
+    cg[tail], cs[tail] = each * stride + n, row_start + n
+    # Anchors are the kept extrema and the sentinels.  A candidate between a
+    # kept extremum and its nearest higher anchor that is higher still was
+    # removed by a kept one at least as high, which lies beyond that anchor; so
+    # the nearest higher candidate lies less than ``distance`` past the anchor.
+    # Right-hand searches run on mirror images.
+    kept = slot[keep]
+    is_anchor = cv == np.inf
+    is_anchor[kept] = True
+    anchor = np.flatnonzero(is_anchor)
+    line = cv[anchor]
+    k, m = len(kept), len(line)
+    at = np.searchsorted(anchor, kept)
+    f = _previous_greater(np.concatenate((line, line[::-1])), np.concatenate((at, 2 * m - 1 - at)))
+    left, right = anchor[f[:k]], anchor[2 * m - 1 - f[k:]]
+    h = cv[kept]
+    stop = np.minimum(np.searchsorted(cg, cg[left] + distance), kept) - 1
+    start = np.maximum(np.searchsorted(cg, cg[right] - distance + 1), kept + 1)
+    c = _scan_down(np.concatenate((cv, cv[::-1])), np.append(stop, 2 * size - 1 - start),
+                   np.append(left, 2 * size - 1 - right), np.append(h, h)[:, None])
+    # the lowest samples from just past each nearest higher point to the extremum;
+    # the last row's right sentinel points one past the end, and reduceat needs
+    # every cut inside its array, so the samples get one spare place
+    mid, owner = sample[keep], series[keep]
+    cuts = np.column_stack((cs[c[:k]] + 1, mid + 1, mid, cs[2 * size - 1 - c[k:]])).ravel()
+    ext = np.append(flat, 0.0)
+    t = 4 * int(np.count_nonzero(owner < rows))  # minima for peaks, maxima for troughs
+    low, high = np.minimum.reduceat(ext, cuts[:t]), np.maximum.reduceat(ext, cuts[t:])
+    base = np.concatenate((np.maximum(low[0::4], low[2::4]), -np.minimum(high[0::4], high[2::4])))
+    row = owner % rows
+    good = h - base >= prominence[row]
+    pos = (mid - row * n)[good]
+    ends = np.cumsum(np.bincount(owner[good], minlength=2 * rows)).tolist()
+    found = [pos[a:b] for a, b in zip([0] + ends, ends)]
+    return found[:rows], found[rows:]
+
+
+def _peak_features(samples: np.ndarray, rate: float, config: ExtractionConfig) -> np.ndarray:
+    """The ``PEAK_NAMES`` columns of each row of ``samples``, shape (R, 7)."""
+    span = np.max(samples, axis=1) - np.min(samples, axis=1)
+    distance = max(1, round(config.peak_min_separation_frac * samples.shape[1]))
+    peaks, troughs = _peaks_and_troughs(samples, config.peak_prominence_frac * span, distance)
+    table = np.zeros((len(samples), len(PEAK_NAMES)))
+    for out, x, p, t in zip(table, samples, peaks, troughs):
+        out[0], out[1] = p.size, t.size
+        if p.size:
+            amps = x[p]
+            out[2], out[3] = np.mean(amps), np.std(amps)
+            if p.size >= 2:
+                gaps = np.diff(p) / rate
+                out[4], out[5] = np.mean(gaps), np.std(gaps)
+            if t.size:
+                out[6] = out[2] - np.mean(x[t])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +653,8 @@ def extract_level1(block: FeatureBlock) -> FeatureBlock:
                 for avg, mags in zip(block.stft_mags.mean(axis=1), block.stft_mags)]
     block.add(1, [("stft", stat) for stat in SPECTRAL_NAMES],
               [[row[stat] for stat in SPECTRAL_NAMES] for row in spectral])
-    peaks = [_peak_features(x, block.sample_rate_hz, block.config) for x in block.samples]
     block.add(1, [("time", stat) for stat in PEAK_NAMES],
-              [[row[stat] for stat in PEAK_NAMES] for row in peaks])
+              _peak_features(block.samples, block.sample_rate_hz, block.config))
     block.level = 1
     return block
 
@@ -493,10 +694,14 @@ def extract_level2(block: FeatureBlock) -> FeatureBlock:
 def choose_dataset_wavelet(records, config: ExtractionConfig) -> tuple[str, int]:
     """Pick one mother wavelet and decomposition depth for a whole dataset.
 
-    Each record votes for its own best-scoring wavelet; records whose details
-    vanish (constant signals) abstain.  Ties, and the all-abstain case, fall
-    back to bank order.  The depth is the configured depth clamped so the
-    shortest record still supports it.  Records are scored a block at a time.
+    Each record votes for its own best-scoring wavelet.  A record abstains
+    only when some wavelet's details vanish exactly, so that its score is
+    NaN: haar's do on a constant record when no level pads an odd length (128
+    or 256 samples, say).  A constant record of another length votes, and
+    the other wavelets score a constant's roundoff, about 1e-31, not NaN.
+    Ties, and the all-abstain case, fall back to bank order.  The depth is
+    the configured depth clamped so the shortest record still supports it.
+    Records are scored a block at a time.
     """
     min_len = min(r.samples.size for r in records)
     usable = [w for w in config.wavelet_bank if dwt_max_depth(min_len, w) >= 1]

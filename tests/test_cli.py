@@ -408,3 +408,18 @@ def test_console_script_help():
     assert proc.returncode == 0
     for sub in ("extract", "recommend", "baseline-pca", "report"):
         assert sub in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; this session has imported it already,
+    # so a fresh interpreter shows what the package itself loads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, widefeat, widefeat.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,14 +1,17 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.signal import find_peaks
 
 from oracles import catalog_reference, dwt_reference, entropy_reference
 from widefeat import feature_bank
 from widefeat.dataset import MIN_SAMPLES, SignalRecord
 from widefeat.errors import ConfigError
-from widefeat.feature_bank import (STAT_NAMES, ExtractionConfig, _statistics, band_names,
+from widefeat.feature_bank import (PEAK_NAMES, STAT_NAMES, ExtractionConfig,
+                                   _peaks_and_troughs, _statistics, band_names,
                                    build_feature_matrix, choose_dataset_wavelet, describe,
                                    extract_level0, extract_level1, extract_level2,
                                    parse_lineage_path)
@@ -82,6 +85,25 @@ class TestLevel0:
                                       max_level=0)
         roots = {d.transform_root for d in matrix.descriptors}
         assert roots == {"time", "stft", f"dwt({pinned})"}
+
+    @pytest.mark.parametrize("n", [128, 256, 300])
+    def test_constant_records_abstain_only_when_details_vanish(self, n):
+        # haar's details of a constant vanish exactly unless a level pads an odd
+        # length; the other wavelets leave roundoff, so a NaN score comes from haar
+        constant = np.full(n, 1.5)
+        scores = score_wavelets(constant[None, :], WAVELET_BANK, 3)[:, 0]
+        if n == 300:
+            assert scores[0] == np.inf
+        else:
+            assert np.isnan(scores[0]) and np.all(scores[1:] < 1e-20)
+        noise = record_from(np.random.default_rng(0).standard_normal(n), rid="noise")
+        constants = [record_from(constant, rid=f"c{i}") for i in range(2)]
+        voted, _ = choose_dataset_wavelet([noise] + constants, ExtractionConfig())
+        alone, _ = choose_dataset_wavelet([noise], ExtractionConfig())
+        if n == 300:  # the two constant records outvote the noise record
+            assert voted == choose_dataset_wavelet(constants, ExtractionConfig())[0] != alone
+        else:
+            assert voted == alone
 
 
 class TestLevel1:
@@ -216,6 +238,121 @@ class TestStatistics:
             got, want = shannon_entropy(p), entropy_reference(p)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert shannon_entropy(np.array([0.0, 1.0, 0.0])) == 0.0
+
+
+def _pcg_rows(rng, count, n=2500, rate=1000.0):
+    """Heart-sound-like records quantized to 16 bits, as ``perfbench/workloads.py``
+    makes them: S1/S2 bursts per beat over noise, and a murmur in every other record."""
+    t = np.arange(n) / rate
+    rows = []
+    for i in range(count):
+        period = 60.0 / rng.uniform(60.0, 100.0)
+        systole = 0.35 * period
+        x = rng.normal(0.0, rng.uniform(0.01, 0.04), n)
+        f1, f2 = rng.uniform(40.0, 60.0), rng.uniform(60.0, 90.0)
+        onset = rng.uniform(0.0, period)
+        while onset < n / rate:
+            for center, freq, width, amp in ((onset, f1, 0.020, rng.uniform(0.6, 1.0)),
+                                             (onset + systole, f2, 0.015, rng.uniform(0.4, 0.8))):
+                dt = t - center
+                x += amp * np.exp(-0.5 * (dt / width) ** 2) * np.sin(2 * np.pi * freq * dt)
+            if i % 2:
+                inside = (t > onset + 0.05) & (t < onset + systole - 0.03)
+                murmur = sum(np.sin(2 * np.pi * rng.uniform(150.0, 300.0) * t
+                                    + rng.uniform(0, 2 * np.pi)) for _ in range(6))
+                x += rng.uniform(0.03, 0.08) * inside * murmur
+            onset += period
+        pcm = np.round(0.9 * x / np.max(np.abs(x)) * 32767).astype("<i2")
+        rows.append(pcm / 32768.0)
+    return np.array(rows)
+
+
+def _peak_blocks():
+    rng = np.random.default_rng(12)
+    edge = np.zeros((4, 16))
+    edge[0, [1, 5, 14]] = [5.0, 2.0, 4.0]  # peaks one sample from either edge
+    edge[1, [1, 2, 9, 13, 14]] = [3.0, 1.0, 2.0, 1.0, 3.0]
+    edge[2] = [3, 3, 3, 1, 2, 1, 0, 1, 1, 0, 2, 2, 0, 4, 4, 4]  # plateaus at both edges
+    edge[3] = [0, 2, 2, 0, 1, 0, 5, 5, 5, 5, 0, 1, 1, 1, 3, 3]
+    steps = np.arange(60.0) + 2 * (np.arange(60) % 2)
+    return {
+        "normal_300": rng.standard_normal((6, 300)),
+        # plateaus and tied heights
+        "rounded_normal_300": np.round(rng.standard_normal((6, 300))),
+        "three_levels_300": rng.integers(0, 3, (6, 300)).astype(float),
+        "constant_among_normal_64": np.array([np.full(64, 1.5), rng.standard_normal(64),
+                                              np.full(64, -2.0)]),
+        # the highest peak's prominence is set by the minimum on its right, which
+        # runs to the row's end
+        "right_base_at_end_6": np.array([[0.0, 10, 6, 8, 7, 9], [-9, -7, -8, -6, -10, 0]]),
+        "edges_16": edge,
+        "all_three_level_rows_3": np.array(list(itertools.product(range(3), repeat=3)), float),
+        "all_three_level_rows_4": np.array(list(itertools.product(range(3), repeat=4)), float),
+        "mixed_16": np.vstack([rng.integers(0, 3, (5, 16)), rng.standard_normal((5, 16))]),
+        "pcg_16bit_2500": _pcg_rows(rng, 4),
+        # rising and falling staircases of peaks two samples apart: the distance rule's
+        # parallel rounds settle one peak each, so it finishes peak by peak
+        "staircases_60": np.array([steps, steps[::-1], -steps]),
+    }
+
+
+_PEAK_BLOCKS = _peak_blocks()
+
+
+class TestPeakFinder:
+    """``_peaks_and_troughs`` returns exactly what ``scipy.signal.find_peaks`` does."""
+
+    @pytest.mark.parametrize("separation_frac", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("prominence_frac", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("name", sorted(_PEAK_BLOCKS))
+    def test_matches_find_peaks(self, name, prominence_frac, separation_frac):
+        block = _PEAK_BLOCKS[name]
+        prominence = prominence_frac * (np.max(block, axis=1) - np.min(block, axis=1))
+        distance = max(1, round(separation_frac * block.shape[1]))
+        # the whole block at once, and each row as a block of its own
+        for rows in [range(len(block))] + [[i] for i in range(len(block))]:
+            peaks, troughs = _peaks_and_troughs(block[rows], prominence[rows], distance)
+            for i, got_peaks, got_troughs in zip(rows, peaks, troughs):
+                for got, x in ((got_peaks, block[i]), (got_troughs, -block[i])):
+                    want = find_peaks(x, prominence=prominence[i], distance=distance)[0]
+                    assert got.dtype == want.dtype and np.array_equal(got, want), \
+                        (i, len(rows), got, want)
+
+    def test_peak_columns_match_find_peaks_row_by_row(self):
+        rng = np.random.default_rng(13)
+        rate = 1000.0
+        rows = np.vstack([_pcg_rows(rng, 4), np.round(4 * rng.standard_normal((2, 2500))),
+                          np.full((1, 2500), 0.25)])
+        records = [record_from(x, rate, rid=f"r{i}", label=i % 2) for i, x in enumerate(rows)]
+        config = ExtractionConfig()
+        matrix = build_feature_matrix(records, config, max_level=2)
+        lineages = [("time", stat) for stat in PEAK_NAMES]
+        lineages.append(("time", "guarded_ratio", "peak_count/trough_count"))
+        columns = [[d.lineage for d in matrix.descriptors].index(lin) for lin in lineages]
+        for x, row in zip(rows, matrix.values):
+            want = _peak_reference(x, rate, config)
+            want.append(want[0] / want[1] if want[1] else 0.0)
+            assert row[columns].tobytes() == np.array(want).tobytes()
+
+
+def _peak_reference(x, rate, config):
+    """``PEAK_NAMES`` of one record, from ``scipy.signal.find_peaks``."""
+    out = dict.fromkeys(PEAK_NAMES, 0.0)
+    span = float(np.max(x) - np.min(x))
+    prominence = config.peak_prominence_frac * span
+    distance = max(1, round(config.peak_min_separation_frac * x.size))
+    peaks = find_peaks(x, prominence=prominence, distance=distance)[0]
+    troughs = find_peaks(-x, prominence=prominence, distance=distance)[0]
+    out["peak_count"], out["trough_count"] = float(peaks.size), float(troughs.size)
+    if peaks.size:
+        out["peak_amp_mean"] = float(np.mean(x[peaks]))
+        out["peak_amp_std"] = float(np.std(x[peaks]))
+        if peaks.size >= 2:
+            out["peak_interval_mean_s"] = float(np.mean(np.diff(peaks) / rate))
+            out["peak_interval_std_s"] = float(np.std(np.diff(peaks) / rate))
+        if troughs.size:
+            out["peak_trough_amp_mean"] = float(np.mean(x[peaks]) - np.mean(x[troughs]))
+    return list(out.values())
 
 
 class TestLevel2:
