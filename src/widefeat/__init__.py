@@ -14,8 +14,7 @@ from .metrics import MetricReport, compute_metrics
 from .recommender import (Recommendation, RecommendConfig, exhaustive_refine, interpret,
                           recommend)
 from .selector import (RelevanceCache, SelectionResult, SelectorConfig, f_statistic,
-                       fuzzy_dependency, mrmr_select, mrms_select, pearson_abs,
-                       union_recommend)
+                       fuzzy_dependency, mrmr_select, mrms_select, union_recommend)
 from .stft import stft
 from .svm import KernelSpec, SvmModel, decision_function, svm_predict, svm_train
 from .wavelets import (WAVELET_BANK, dwt_decompose, dwt_max_depth, dwt_reconstruct,

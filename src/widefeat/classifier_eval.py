@@ -132,6 +132,8 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
     feature_ids = tuple(int(i) for i in feature_ids)
+    if not feature_ids:
+        raise ValueError("feature ids must not be empty")
     if any(not 0 <= i < values.shape[1] for i in feature_ids):
         raise ValueError(f"feature ids {feature_ids} outside matrix columns")
     positive = _positive_class(labels, config)

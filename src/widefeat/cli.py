@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .classifier_eval import pca_baseline
-from .dataset import fold_roles, load_dataset, load_manifest, make_folds
-from .errors import (ConfigError, RunError, WidefeatError, json_value, known_keys,
-                     list_setting, require_int, write_json)
+from .dataset import binary_labels, fold_roles, load_dataset, load_manifest, make_folds
+from .errors import (ConfigError, RunError, ValidationError, WidefeatError, json_value,
+                     known_keys, list_setting, require_int, write_json)
 from .feature_bank import MAX_LEVEL, ExtractionConfig, build_feature_matrix
 from .metrics import METRIC_NAMES
 from .recommender import RecommendConfig, interpret, recommend
@@ -192,9 +192,9 @@ def cmd_baseline_pca(args) -> int:
         raise ConfigError(f"pca kernel must be one of {KERNEL_KINDS}, got {kernel!r}")
 
     records = load_dataset(manifest)
+    labels = binary_labels(records, config.evaluation.positive_class)
     plan = make_folds(records, config.p, config.seed)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
-    labels = np.asarray([r.label for r in records])
 
     min_train = min(fold_roles(plan, f)[0].size for f in range(plan.p))
     cap = min(matrix.n_features, min_train)
@@ -233,26 +233,26 @@ REPORT_COLUMNS = ("method", "accuracy", "sensitivity", "specificity",
                   "precision", "f_score", "feature_count", "level_reached")
 
 
-def _report_rows(run_dir: Path) -> list[dict]:
+def _report_rows(run_dir: Path) -> list[list[str]]:
+    """One row of ``REPORT_COLUMNS`` text per metrics.json under ``run_dir``."""
     rows = []
     for path in sorted(run_dir.rglob("metrics.json")):
         payload = _read_json(path)
-        if payload.get("method") == "wide":
-            rows.append({
-                "method": "wide",
-                **{m: payload["metrics"][m] for m in METRIC_NAMES},
-                "feature_count": payload["feature_count"],
-                "level_reached": payload["level_reached"],
-            })
-        elif payload.get("method") == "pca":
-            metric = payload.get("metric", "accuracy")
-            best = max(payload["runs"], key=lambda r: r["metrics"][metric])
-            rows.append({
-                "method": f"pca[n={best['n_components']}]",
-                **{m: best["metrics"][m] for m in METRIC_NAMES},
-                "feature_count": best["n_components"],
-                "level_reached": "-",
-            })
+        try:
+            if payload.get("method") == "wide":
+                method, metrics = "wide", payload["metrics"]
+                count, level = payload["feature_count"], payload["level_reached"]
+            elif payload.get("method") == "pca":
+                metric = payload.get("metric", "accuracy")
+                best = max(payload["runs"], key=lambda r: r["metrics"][metric])
+                method, metrics = f"pca[n={best['n_components']}]", best["metrics"]
+                count, level = best["n_components"], "-"
+            else:
+                continue
+            rows.append([method] + [f"{metrics[m]:.6g}" for m in METRIC_NAMES]
+                        + [str(count), str(level)])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
     return rows
 
 
@@ -262,21 +262,17 @@ def cmd_report(args) -> int:
     if not rows:
         print(f"no run artifacts found under {run_dir}", file=sys.stderr)
         return 2
-    formatted = [[str(row["method"])]
-                 + [f"{row[m]:.6g}" for m in METRIC_NAMES]
-                 + [str(row["feature_count"]), str(row["level_reached"])]
-                 for row in rows]
-    widths = [max(len(REPORT_COLUMNS[i]), *(len(r[i]) for r in formatted))
+    widths = [max(len(REPORT_COLUMNS[i]), *(len(r[i]) for r in rows))
               for i in range(len(REPORT_COLUMNS))]
     header = "  ".join(c.ljust(w) for c, w in zip(REPORT_COLUMNS, widths))
     print(header)
     print("-" * len(header))
-    for r in formatted:
+    for r in rows:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     csv_path = run_dir / "summary.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for r in formatted:
+        for r in rows:
             fh.write(",".join(r) + "\n")
     print(f"summary written to {csv_path}")
     return 0

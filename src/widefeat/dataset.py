@@ -193,6 +193,18 @@ def load_dataset(manifest: DatasetManifest) -> list[SignalRecord]:
     return records
 
 
+def binary_labels(records, positive_class: int | None) -> np.ndarray:
+    """The records' labels; they must hold exactly two classes, and
+    ``positive_class``, when set, must be one of them."""
+    labels = np.asarray([r.label for r in records])
+    classes = sorted({int(label) for label in labels})
+    if len(classes) != 2:
+        raise ValidationError(f"classification needs binary labels, found classes {classes}")
+    if positive_class is not None and positive_class not in classes:
+        raise ValidationError(f"positive_class {positive_class} is not one of the labels {classes}")
+    return labels
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     """Stratified fold assignment for a fixed record order."""

@@ -31,7 +31,6 @@ renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -311,49 +310,31 @@ def _spectral_features(avg_mag: np.ndarray, freqs: np.ndarray, mags: np.ndarray)
 # on each side (or the row's end).  Peaks of prominence >= p are reported.
 # The troughs of x are the peaks of -x.
 
-_GRID_CELLS = 1 << 16  # the most (queries x places) a search compares at once
 _DISTANCE_ROUNDS = 6  # parallel rounds of the distance rule before it goes peak by peak
 
 
 def _scan_down(a: np.ndarray, top: np.ndarray, bottom: np.ndarray, h: np.ndarray) -> np.ndarray:
     """For each query, the largest index from ``top`` down to ``bottom`` whose value
-    exceeds ``h`` (a column), or -1.  An empty range reads ``a[bottom]``."""
-    span = max(int((top - bottom).max()), 0) + 1
-    cols = np.maximum(top[:, None] - np.arange(span), bottom[:, None])
-    hit = a[cols] > h
-    near = np.argmax(hit, axis=1)
-    rows = np.arange(len(top))
-    return np.where(hit[rows, near], cols[rows, near], -1)
+    exceeds ``h`` (a column); ``a[bottom]`` must exceed it."""
+    cols = np.maximum(top[:, None] - np.arange(int((top - bottom).max()) + 1), bottom[:, None])
+    return cols[np.arange(len(top)), np.argmax(a[cols] > h, axis=1)]
 
 
 def _previous_greater(a: np.ndarray, at: np.ndarray) -> np.ndarray:
     """For each index q in ``at``, the largest index below q whose value exceeds a[q].
 
     ``a[0]`` must exceed every queried value, so that such an index exists.
-    A query scans the 16 places before it, then the rest of its block, then
-    the nearest earlier block whose maximum exceeds it; blocks are about
-    sqrt(len(a)) places long.
+    Level k of the table holds the largest of the 2**k places that end at each
+    index (fewer near the start); a query steps down from the top level and
+    moves left past every span that holds nothing higher.
     """
-    rows = _GRID_CELLS // 16
-    out = np.concatenate([_scan_down(a, q - 1, np.maximum(q - 16, 0), a[q][:, None])
-                          for q in (at[s:s + rows] for s in range(0, len(at), rows))])
-    miss = np.flatnonzero(out < 0)
-    width = math.isqrt(len(a)) + 1
-    block_max = np.maximum.reduceat(a, np.arange(0, len(a), width))
-    rows = max(1, _GRID_CELLS // max(width, len(block_max)))
-    for s in range(0, len(miss), rows):
-        part = miss[s:s + rows]
-        q = at[part]
-        h = a[q][:, None]
-        own = q // width
-        found = _scan_down(a, q - 17, own * width, h)  # an empty range reads a place scanned above
-        far = found < 0
-        if far.any():
-            own, h = own[far], h[far]
-            above = (block_max[:own.max()] > h) & (np.arange(own.max()) < own[:, None])
-            block = above.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
-            found[far] = _scan_down(a, block * width + width - 1, block * width, h)
-        out[part] = found
+    table = [a]
+    for k in range((len(a) - 2).bit_length() - 1):
+        last, step = table[-1], 1 << k
+        table.append(np.concatenate((last[:step], np.maximum(last[step:], last[:-step]))))
+    h, out = a[at], at - 1
+    for k in range(len(table) - 1, -1, -1):
+        out -= (table[k][out] <= h) << k
     return out
 
 

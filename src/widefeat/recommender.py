@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, score_test_rows
-from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, fold_roles, make_folds
-from .errors import (ConfigError, RunError, ValidationError, flat_dict, json_value, known_keys,
-                     list_setting, real_setting, require_int, store, write_json)
+from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, binary_labels, fold_roles, make_folds
+from .errors import (ConfigError, RunError, flat_dict, json_value, known_keys, list_setting,
+                     real_setting, require_int, store, write_json)
 from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureMatrix, build_feature_matrix,
                            describe)
 from .metrics import MetricReport
@@ -224,13 +224,7 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
     evaluation kept.
     """
     records = list(records)
-    labels = np.asarray([r.label for r in records])
-    classes = sorted({int(r.label) for r in records})
-    if len(classes) != 2:
-        raise ValidationError(f"recommend needs binary labels, found classes {classes}")
-    positive = config.evaluation.positive_class
-    if positive is not None and positive not in classes:
-        raise ValidationError(f"positive_class {positive} is not one of the labels {classes}")
+    labels = binary_labels(records, config.evaluation.positive_class)
     plan = make_folds(records, config.p, config.seed)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
 

@@ -58,18 +58,6 @@ def f_statistic(values, labels):
     return float(f[0]) if x.ndim == 1 else f
 
 
-def pearson_abs(a, b) -> float:
-    """Absolute Pearson correlation; 0 when either column is constant."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt(np.dot(da, da) * np.dot(db, db))
-    if denom == 0.0:
-        return 0.0
-    return float(min(1.0, abs(np.dot(da, db)) / denom))
-
-
 @dataclass
 class RelevanceCache:
     """Per-feature F-statistics plus the centered columns for |Pearson| lookups."""

@@ -18,7 +18,7 @@ from widefeat.dataset import SignalRecord, make_folds
 from widefeat.feature_bank import build_feature_matrix
 from widefeat.metrics import compute_metrics
 from widefeat.recommender import RecommendConfig, exhaustive_refine, recommend
-from widefeat.selector import f_statistic, mrmr_select, mrms_select, pearson_abs
+from widefeat.selector import RelevanceCache, f_statistic, mrmr_select, mrms_select
 from widefeat.stft import hann_window, stft
 from widefeat.svm import KernelSpec, svm_predict, svm_train
 from widefeat.wavelets import WAVELET_BANK, dwt_decompose, dwt_max_depth, dwt_reconstruct
@@ -79,7 +79,8 @@ def test_relevance_and_correlation_oracles():
             other = rng.standard_normal(n)
             f_expected = oracles.anova_f(col, labels)
             assert abs(f_statistic(col, labels) - f_expected) <= 1e-9 * max(1.0, f_expected)
-            assert abs(pearson_abs(col, other) - oracles.abs_pearson(col, other)) < 1e-9
+            cache = RelevanceCache.build(np.column_stack([col, other]), labels)
+            assert abs(cache.correlations_with(0)[1] - oracles.abs_pearson(col, other)) < 1e-9
 
 
 def test_dwt_reconstruction_and_energy():

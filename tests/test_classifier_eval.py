@@ -126,11 +126,13 @@ class TestEvaluateFeatureSet:
         b = evaluate_feature_set(values, labels, (0, 2), plan, config)
         assert a == b
 
-    def test_invalid_feature_ids(self):
+    @pytest.mark.parametrize("ids, message", [((99,), "outside matrix columns"),
+                                              ((), "must not be empty")])
+    def test_invalid_feature_ids(self, ids, message):
         values, labels = planted_matrix()
         plan = make_folds(records_for(labels), p=5, seed=0)
-        with pytest.raises(ValueError, match="outside matrix columns"):
-            evaluate_feature_set(values, labels, (99,), plan, EvalConfig())
+        with pytest.raises(ValueError, match=message):
+            evaluate_feature_set(values, labels, ids, plan, EvalConfig())
 
     @pytest.mark.parametrize("garbage", [np.nan, 1e300])
     def test_test_rows_never_read(self, garbage):

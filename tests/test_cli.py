@@ -204,6 +204,15 @@ class TestRejectBeforeCompute:
         assert run_cli("recommend", planted_manifest, "--config", config,
                        "--out", tmp_path / "runs") == 2
 
+    @pytest.mark.parametrize("command", ["recommend", "baseline-pca"])
+    def test_absent_positive_class_exits_2(self, planted_manifest, tmp_path, no_extraction,
+                                           command, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**FAST_RECOMMEND, "evaluation": {"positive_class": 5}}))
+        assert run_cli(command, planted_manifest, "--config", config,
+                       "--out", tmp_path / "runs") == 2
+        assert "positive_class 5" in capsys.readouterr().err
+
     def test_bad_k_flag_exits_2(self, planted_manifest, tmp_path, no_extraction, capsys):
         assert run_cli("recommend", planted_manifest, "--seed", 1, "--k", "5,x",
                        "--out", tmp_path / "runs") == 2
@@ -398,6 +407,19 @@ class TestReport:
         empty = tmp_path / "none"
         empty.mkdir()
         assert run_cli("report", empty) == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"method": "wide"},
+        {"method": "pca", "runs": []},
+        {"method": "wide", "metrics": dict.fromkeys(METRIC_NAMES, "x"), "feature_count": 1,
+         "level_reached": 0},
+    ])
+    def test_malformed_metrics_exits_2(self, tmp_path, payload, capsys):
+        path = tmp_path / "run" / "metrics.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(payload))
+        assert run_cli("report", tmp_path) == 2
+        assert f"malformed {path}" in capsys.readouterr().err
 
 
 def test_console_script_help():

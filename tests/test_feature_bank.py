@@ -11,9 +11,9 @@ from widefeat import feature_bank
 from widefeat.dataset import MIN_SAMPLES, SignalRecord
 from widefeat.errors import ConfigError
 from widefeat.feature_bank import (PEAK_NAMES, STAT_NAMES, ExtractionConfig,
-                                   _peaks_and_troughs, _statistics, band_names,
-                                   build_feature_matrix, choose_dataset_wavelet, describe,
-                                   extract_level0, extract_level1, extract_level2,
+                                   _peaks_and_troughs, _previous_greater, _statistics,
+                                   band_names, build_feature_matrix, choose_dataset_wavelet,
+                                   describe, extract_level0, extract_level1, extract_level2,
                                    parse_lineage_path)
 from widefeat.wavelets import (_SCALING_FILTERS, WAVELET_BANK, dwt_decompose, dwt_max_depth,
                                score_wavelets, shannon_entropy)
@@ -293,10 +293,38 @@ def _peak_blocks():
         # rising and falling staircases of peaks two samples apart: the distance rule's
         # parallel rounds settle one peak each, so it finishes peak by peak
         "staircases_60": np.array([steps, steps[::-1], -steps]),
+        # integer random walks: long plateaus, and at separation 0 the nearest higher
+        # kept peak is often far away
+        "random_walk_2500": np.cumsum(np.random.default_rng(14).choice(
+            [-1.0, 0.0, 1.0], size=(3, 2500), p=[0.15, 0.7, 0.15]), axis=1),
     }
 
 
 _PEAK_BLOCKS = _peak_blocks()
+
+
+class TestPreviousGreater:
+    """``_previous_greater`` gives the nearest place to the left that is strictly higher."""
+
+    @staticmethod
+    def _arrays(n):
+        rng = np.random.default_rng(n)
+        sentinels = rng.integers(0, n, 2)
+        yield np.zeros(n)  # all ties: every query reaches back to the leading sentinel
+        yield np.arange(n, 0, -1.0)
+        yield np.round(rng.standard_normal(n))
+        yield rng.integers(0, 3, n).astype(float)
+        spiked = rng.standard_normal(n)
+        spiked[sentinels] = np.inf  # inner sentinels, as between series
+        yield spiked
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 256, 257, 1024, 1025])
+    def test_matches_brute_force(self, n):
+        for a in self._arrays(n):
+            a[0] = np.inf
+            at = np.flatnonzero(a < np.inf)
+            want = [np.flatnonzero(a[:q] > a[q])[-1] for q in at]
+            assert _previous_greater(a, at).tolist() == want, a
 
 
 class TestPeakFinder:

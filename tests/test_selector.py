@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from widefeat.selector import (F_SENTINEL, RelevanceCache, f_statistic, fuzzy_dependency,
-                               mrmr_select, mrms_select, pearson_abs, union_recommend)
+                               mrmr_select, mrms_select, union_recommend)
 
 
 class TestFStatistic:
@@ -50,24 +50,30 @@ class TestFStatistic:
             f_statistic(values, labels[:-1])
 
 
-class TestPearsonAbs:
+def cache_pearson(a, b) -> float:
+    """|Pearson| of two columns as mRMR reads it, through ``RelevanceCache``."""
+    values = np.column_stack([a, b]).astype(float)
+    return float(RelevanceCache.build(values, np.arange(len(values)) % 2).correlations_with(0)[1])
+
+
+class TestCachePearson:
     def test_self_correlation(self):
-        assert pearson_abs([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
+        assert cache_pearson([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
 
     def test_constant_guard(self):
-        assert pearson_abs([5, 5, 5, 5], [1, 2, 3, 4]) == 0.0
+        assert cache_pearson([5, 5, 5, 5], [1, 2, 3, 4]) == 0.0
 
     def test_direct_formula_fixture(self):
         expected = oracles.abs_pearson([1, 2, 3, 4], [2, 4, 5, 9])
         assert expected == pytest.approx(0.9647638212377322)
-        assert pearson_abs([1, 2, 3, 4], [2, 4, 5, 9]) == pytest.approx(expected, abs=1e-12)
+        assert cache_pearson([1, 2, 3, 4], [2, 4, 5, 9]) == pytest.approx(expected, abs=1e-12)
 
     def test_random_fixtures_match_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = int(rng.integers(4, 50))
             a, b = rng.standard_normal(n), rng.standard_normal(n)
-            assert abs(pearson_abs(a, b) - oracles.abs_pearson(a, b)) < 1e-9
+            assert abs(cache_pearson(a, b) - oracles.abs_pearson(a, b)) < 1e-9
 
 
 def duplicate_fixture_mrmr():
@@ -98,7 +104,7 @@ class TestMrmr:
         # fixture sanity: b carries the same relevance but is not a copy
         assert f_statistic(values[:, 2], labels) == pytest.approx(
             f_statistic(values[:, 0], labels))
-        assert pearson_abs(values[:, 0], values[:, 2]) < 1.0
+        assert cache_pearson(values[:, 0], values[:, 2]) < 1.0
 
     @pytest.mark.parametrize("objective", ["MID", "MIQ"])
     def test_greedy_matches_brute_force(self, objective):
@@ -367,7 +373,7 @@ class TestPlantedRecovery:
         assert mrms_select(values, labels, 3).ranked_ids[0] == 17
 
 
-def test_relevance_cache_correlations_match_pearson():
+def test_relevance_cache_correlations_match_oracle():
     rng = np.random.default_rng(11)
     labels = np.array([0, 1] * 6)
     values = rng.standard_normal((12, 5))
@@ -376,5 +382,6 @@ def test_relevance_cache_correlations_match_pearson():
     assert np.all(cache.f_stats >= 0) and np.all(np.isfinite(cache.f_stats))
     for j in range(values.shape[1]):
         col = cache.correlations_with(j)
-        expected = [pearson_abs(values[:, i], values[:, j]) for i in range(values.shape[1])]
+        expected = [oracles.abs_pearson(values[:, i], values[:, j])
+                    for i in range(values.shape[1])]
         np.testing.assert_allclose(col, expected, rtol=1e-12, atol=1e-15)
