@@ -15,7 +15,7 @@ from .dataset import FoldPlan, fold_roles
 from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
                      real_setting, require_int, store)
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
-from .svm import KERNEL_KINDS, KernelSpec, SvmModel, svm_predict, svm_train
+from .svm import KERNEL_KINDS, KernelSpec, SvmModel, fold_problem, svm_predict, svm_train
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,21 @@ def _fit_fold(plan: FoldPlan, fold: int, rows, labels, config: EvalConfig,
               kernel_prefix: str = "") -> FoldOutcome:
     """Fit every kernel/C pair on the fold's train rows; the best evaluation-row
     metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
+    The fits share one :class:`~widefeat.svm.FoldProblem`, so the rows are standardized
+    once and each kernel's Gram is built once for the whole C grid.
     A training set holding a single class marks the fold failed."""
     train_idx, eval_idx, _ = fold_roles(plan, fold)
     x_train, y_train = rows(train_idx), labels[train_idx]
     x_eval, y_eval = rows(eval_idx), labels[eval_idx]
     best = None
     try:
+        problem = fold_problem(x_train, y_train, config.class_weight_mode, positive)
         for spec in specs:
             for c in config.c_grid:
                 model = svm_train(
                     x_train, y_train, kernel=spec, c=c,
                     class_weights=config.class_weight_mode,
-                    positive_label=positive)
+                    positive_label=positive, problem=problem)
                 report = compute_metrics(svm_predict(model, x_eval), y_eval, positive)
                 score = report.value(config.metric)
                 if best is None or score > best[0]:

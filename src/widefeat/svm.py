@@ -8,11 +8,17 @@ it, the partner j whose analytic two-variable step lowers the objective most
 when the KKT gap -- the largest violation by any pair -- falls below ``_TOL`` = 1e-3.
 Per-sample box constraints carry the class weights, so imbalanced data can
 penalize minority errors harder.
+
+The checks, the standardization and the linear Gram ``Xs Xsᵀ`` depend only
+on the training rows, so they are computed once per fold and feature set: a
+:class:`FoldProblem` holds them, and the kernel/C grid shares it.  The rbf
+and poly Grams are derived from the linear one with :func:`kernel_matrix`'s
+expressions, so they stay bit-identical to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,16 +45,28 @@ class KernelSpec:
         return self
 
 
-def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot_kernel(spec: KernelSpec, dot: np.ndarray, sq_a: np.ndarray | None = None,
+                sq_b: np.ndarray | None = None) -> np.ndarray:
+    """``spec``'s kernel between rows a and b from their dot products ``dot``;
+    rbf also needs their squared norms ``sq_a`` and ``sq_b``."""
     if spec.kind == "linear":
-        return a @ b.T
+        return dot
     if spec.kind == "rbf":
-        sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-              - 2.0 * (a @ b.T))
+        sq = sq_a[:, None] + sq_b[None, :] - 2.0 * dot
         return np.exp(-spec.gamma * np.maximum(sq, 0.0))
     if spec.kind == "poly":
-        return (spec.gamma * (a @ b.T) + spec.coef0) ** spec.degree
+        return (spec.gamma * dot + spec.coef0) ** spec.degree
     raise ValueError(f"unknown kernel {spec.kind!r}")
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sum(rows * rows, axis=1)
+
+
+def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if spec.kind == "rbf":
+        return _dot_kernel(spec, a @ b.T, _sq_norms(a), _sq_norms(b))
+    return _dot_kernel(spec, a @ b.T)
 
 
 @dataclass(frozen=True)
@@ -65,6 +83,7 @@ class SvmModel:
     feature_std: np.ndarray
     negative_label: int
     positive_label: int
+    iterations: int  # SMO pair updates the fit took
 
     @property
     def n_features(self) -> int:
@@ -74,25 +93,60 @@ class SvmModel:
         return (rows - self.feature_mean) / self.feature_std
 
 
-def _resolve_class_weights(labels: np.ndarray, mode: str) -> dict[int, float]:
-    classes, counts = np.unique(labels, return_counts=True)
+@dataclass(frozen=True, eq=False)
+class FoldProblem:
+    """What every fit on one set of training rows shares, whatever its kernel and C.
+
+    Build it with :func:`fold_problem`.  ``linear`` is the Gram ``xs @ xs.T`` of
+    the standardized rows; :meth:`gram` derives the rbf and poly Grams from it.
+    """
+    rows: np.ndarray  # the training rows, as floats
+    labels: np.ndarray
+    class_weight_mode: str
+    class_weights: dict[int, float]
+    negative_label: int
+    positive_label: int
+    mean: np.ndarray
+    std: np.ndarray
+    xs: np.ndarray  # standardized rows
+    y: np.ndarray  # +/-1
+    unit_box: np.ndarray  # per-row class weight; a fit's box is C * unit_box
+    linear: np.ndarray
+    sq_norms: np.ndarray
+    _last: list = field(default_factory=list, init=False, repr=False)  # [(spec, Gram)]
+
+    def gram(self, spec: KernelSpec) -> np.ndarray:
+        """The Gram of ``spec`` over the standardized rows, bit for bit what
+        ``kernel_matrix(spec, xs, xs)`` gives.  Only the last rbf or poly Gram is
+        kept, so a problem holds at most two n x n arrays."""
+        spec = spec.resolve(self.xs.shape[1])
+        if spec.kind == "linear":
+            return self.linear
+        if not self._last or self._last[0][0] != spec:
+            self._last[:] = [(spec, _dot_kernel(spec, self.linear, self.sq_norms, self.sq_norms))]
+        return self._last[0][1]
+
+    def built_from(self, rows: np.ndarray, labels: np.ndarray) -> bool:
+        return ((rows is self.rows or np.array_equal(rows, self.rows))
+                and (labels is self.labels or np.array_equal(labels, self.labels)))
+
+
+def _class_weights(classes: np.ndarray, counts: np.ndarray, mode: str) -> dict[int, float]:
     if mode == "none":
         return {int(c): 1.0 for c in classes}
     if mode == "balanced":
-        n = labels.size
+        n = int(counts.sum())
         return {int(c): n / (classes.size * cnt) for c, cnt in zip(classes, counts)}
     raise ValueError(f"unsupported class weight mode {mode!r}")
 
 
-def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
-              class_weights: str = "balanced", positive_label: int | None = None) -> SvmModel:
-    """Fit a binary SVM on ``rows`` (records x features).
+def fold_problem(rows, labels, class_weights: str = "balanced",
+                 positive_label: int | None = None) -> FoldProblem:
+    """Check and standardize ``rows`` (records x features) for :func:`svm_train`.
 
     Standardization statistics come from these rows only; zero-variance
-    columns standardize to constant 0.  Training stops once the KKT gap is
-    below ``_TOL`` = 1e-3.  Raises :class:`TrainingError` when a row is not
-    finite, when only one class is present, or when the gap is still open
-    after ``_MAX_ITER`` pair updates.
+    columns standardize to constant 0.  Raises :class:`TrainingError` when a
+    row is not finite or when only one class is present.
     """
     x = np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
@@ -100,62 +154,114 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         raise ValueError("rows must be 2-D with one label per row")
     if not np.isfinite(x).all():
         raise TrainingError("training rows hold NaN or Inf")
-    classes = np.unique(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     if classes.size != 2:
         raise TrainingError(f"need exactly two classes in training rows, got {classes.tolist()}")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
     if positive_label is None:
         positive_label = int(classes.max())
     elif positive_label not in classes:
         raise ValueError(f"positive label {positive_label} not present in training labels")
     negative_label = int(classes[classes != positive_label][0])
+    weights = _class_weights(classes, counts, class_weights)
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
     xs = (x - mean) / std
+    is_pos = labels == positive_label
+    return FoldProblem(
+        rows=x, labels=labels, class_weight_mode=class_weights, class_weights=weights,
+        negative_label=negative_label, positive_label=positive_label,
+        mean=mean, std=std, xs=xs, y=np.where(is_pos, 1.0, -1.0),
+        unit_box=np.where(is_pos, weights[positive_label], weights[negative_label]),
+        linear=xs @ xs.T, sq_norms=_sq_norms(xs))
 
-    weights = _resolve_class_weights(labels, class_weights)
-    y = np.where(labels == positive_label, 1.0, -1.0)
-    box = np.asarray([c * weights[int(l)] for l in labels])
 
-    spec = kernel.resolve(xs.shape[1])
-    gram = kernel_matrix(spec, xs, xs)
+def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
+              class_weights: str = "balanced", positive_label: int | None = None, *,
+              problem: FoldProblem | None = None) -> SvmModel:
+    """Fit a binary SVM on ``rows`` (records x features).
+
+    ``problem``, from :func:`fold_problem` on the same rows, labels and
+    settings, lets a kernel/C grid share the checks, the standardization and
+    the linear Gram; without it the fit builds its own.  Training stops once
+    the KKT gap is below ``_TOL`` = 1e-3.  Raises :class:`TrainingError` when
+    a row is not finite, when only one class is present, or when the gap is
+    still open after ``_MAX_ITER`` pair updates, and ``ValueError`` when
+    ``problem`` was built from other rows, labels or settings.
+    """
+    if problem is None:
+        problem = fold_problem(rows, labels, class_weights, positive_label)
+    elif not (problem.built_from(np.asarray(rows, dtype=float), np.asarray(labels))
+              and class_weights == problem.class_weight_mode
+              and positive_label in (None, problem.positive_label)):
+        raise ValueError("problem was built from other rows, labels or settings than this fit")
+    if c <= 0:
+        raise ValueError(f"C must be positive, got {c}")
+    spec = kernel.resolve(problem.xs.shape[1])
+    box = c * problem.unit_box
+    alphas, bias, iterations = _smo(problem.gram(spec), problem.y, box)
+    keep = alphas > 1e-10
+    return SvmModel(
+        kernel=spec, c=c, class_weights=dict(problem.class_weights),
+        support_vectors=problem.xs[keep], alphas=alphas[keep], sv_labels=problem.y[keep],
+        sv_box=box[keep], bias=bias,
+        feature_mean=problem.mean, feature_std=problem.std,
+        negative_label=problem.negative_label, positive_label=problem.positive_label,
+        iterations=iterations)
+
+
+def _smo(gram: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Solve the dual for ``gram``, labels ``y`` (+/-1) and per-row upper bounds
+    ``box``; return the alphas, the bias and the number of pair updates."""
     diag = np.diag(gram)
-    pos = y > 0.0
-    alphas = np.zeros(xs.shape[0])
+    pos = (y > 0.0).tolist()
+    sign_of = y.tolist()
+    box_at = box.tolist()
+    alphas = [0.0] * y.size  # only rows i and j are read or written in a step
     yg = y.copy()  # -y * gradient of the dual objective; the gradient starts at -1
-    for _ in range(_MAX_ITER):
-        up = np.where(pos, alphas < box, alphas > 0.0)
-        low = np.where(pos, alphas > 0.0, alphas < box)
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        gap = yg[i] - yg
-        if gap[low].max() < _TOL:
+    # additive masks, 0 where a row can move that way and -inf where it cannot:
+    # i comes from the rows whose y * alpha can go up, j from those where it can go down
+    up = np.where(y > 0.0, 0.0, -np.inf)
+    low = np.where(y > 0.0, -np.inf, 0.0)
+    score, curv, row = np.empty(y.size), np.empty(y.size), np.empty(y.size)
+    for iterations in range(_MAX_ITER):
+        np.add(yg, up, out=score)
+        i = int(score.argmax())
+        yg_i = yg[i]
+        np.subtract(low, yg, out=score)
+        top = score.max()  # -min(yg) over low, so the KKT gap is yg_i + top
+        if yg_i + top < _TOL:
             break
-        curv = np.maximum(diag[i] + diag - 2.0 * gram[i], _TAU)
-        j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
+        # WSS2: among low rows with a positive gap yg_i - yg, the largest gap^2 / curv.
+        # Other rows score 0, and some low row's gap is at least _TOL, so none of them wins
+        np.add(score, yg_i, out=score)
+        np.maximum(score, 0.0, out=score)
+        np.multiply(score, score, out=score)
+        np.add(diag, diag[i], out=curv)
+        np.multiply(gram[i], 2.0, out=row)
+        np.subtract(curv, row, out=curv)
+        np.maximum(curv, _TAU, out=curv)
+        np.divide(score, curv, out=score)
+        j = int(score.argmax())
         # alpha_i moves by y_i * step and alpha_j by -y_j * step, so sum(alpha * y) stays put
-        room_i = box[i] - alphas[i] if pos[i] else alphas[i]
-        room_j = alphas[j] if pos[j] else box[j] - alphas[j]
-        step = min(gap[j] / curv[j], room_i, room_j)
-        for t, sign, room in ((i, y[i], room_i), (j, -y[j], room_j)):
-            end = box[t] if sign > 0.0 else 0.0
-            alphas[t] = end if step == room else min(max(alphas[t] + sign * step, 0.0), box[t])
-        yg -= step * (gram[i] - gram[j])
+        room_i = box_at[i] - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else box_at[j] - alphas[j]
+        step = min((yg_i - yg[j]) / curv[j], room_i, room_j)
+        for t, sign, room in ((i, sign_of[i], room_i), (j, -sign_of[j], room_j)):
+            end = box_at[t] if sign > 0.0 else 0.0
+            a = end if step == room else min(max(alphas[t] + sign * step, 0.0), box_at[t])
+            alphas[t] = a
+            up[t] = 0.0 if (a < box_at[t] if pos[t] else a > 0.0) else -np.inf
+            low[t] = 0.0 if (a > 0.0 if pos[t] else a < box_at[t]) else -np.inf
+        np.subtract(gram[i], gram[j], out=row)
+        np.multiply(row, step, out=row)
+        np.subtract(yg, row, out=yg)
     else:
         raise TrainingError(f"SMO did not reach KKT gap {_TOL:g} in {_MAX_ITER} iterations")
     # any bias between max(yg over up) and min(yg over low) meets the KKT
     # conditions; the midpoint keeps every violation under _TOL / 2
-    bias = 0.5 * (yg[i] + yg[low].min())
-
-    keep = alphas > 1e-10
-    return SvmModel(
-        kernel=spec, c=c, class_weights=weights,
-        support_vectors=xs[keep], alphas=alphas[keep], sv_labels=y[keep],
-        sv_box=box[keep], bias=float(bias),
-        feature_mean=mean, feature_std=std,
-        negative_label=negative_label, positive_label=positive_label)
+    return np.asarray(alphas), float(0.5 * (yg_i - top)), iterations
 
 
 def decision_function(model: SvmModel, rows) -> np.ndarray:

@@ -8,7 +8,8 @@ from widefeat.classifier_eval import EvalConfig
 from widefeat.dataset import fold_roles, make_folds
 from widefeat.errors import TrainingError
 from widefeat.feature_bank import ExtractionConfig, build_feature_matrix
-from widefeat.svm import KernelSpec, decision_function, svm_predict, svm_train
+from widefeat.svm import (KernelSpec, decision_function, fold_problem, kernel_matrix, svm_predict,
+                          svm_train)
 
 
 def separable_blobs(n_per=20, gap=4.0, seed=0):
@@ -126,6 +127,64 @@ class TestOptimality:
                     worst.append(oracles.kkt_violation(model, values[train], labels[train]))
         assert len(worst) == 45
         assert max(worst) <= 1e-3
+
+
+def _model_fields(model):
+    return {name: getattr(model, name) for name in model.__dataclass_fields__}
+
+
+class TestFoldProblem:
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(kind="linear"),
+        KernelSpec(kind="rbf"), KernelSpec(kind="rbf", gamma=0.37),
+        KernelSpec(kind="poly", degree=2), KernelSpec(kind="poly", degree=3),
+        KernelSpec(kind="poly", gamma=0.37, degree=3, coef0=0.5)])
+    def test_gram_is_bit_identical_to_kernel_matrix(self, spec):
+        rows, labels = _overlapping(30, 3)
+        rows = np.column_stack([rows, np.full(rows.shape[0], 7.0)])  # a zero-variance column
+        problem = fold_problem(rows, labels)
+        want = kernel_matrix(spec.resolve(rows.shape[1]), problem.xs, problem.xs)
+        got = problem.gram(spec)
+        assert got.tobytes() == want.tobytes()
+        assert problem.gram(spec) is got  # asked again, the Gram is not rebuilt
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_shared_problem_fits_equal_plain_fits(self, kind):
+        rows, labels = _overlapping(40, 4)
+        problem = fold_problem(rows, labels, "balanced", 1)
+        for c in (0.1, 1.0, 10.0):
+            shared = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c,
+                               positive_label=1, problem=problem)
+            plain = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c, positive_label=1)
+            assert shared.iterations >= 1
+            got, want = _model_fields(shared), _model_fields(plain)
+            for name, value in want.items():
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(got[name], value, err_msg=name)
+                else:
+                    assert got[name] == value, name
+
+    def test_problem_from_other_rows_rejected(self):
+        rows, labels = _overlapping(40, 5)
+        problem = fold_problem(rows, labels)
+        with pytest.raises(ValueError, match="problem was built from other"):
+            svm_train(rows[:, :3], labels, problem=problem)
+        with pytest.raises(ValueError, match="problem was built from other"):
+            svm_train(rows[:-1], labels[:-1], problem=problem)
+        with pytest.raises(ValueError, match="problem was built from other"):
+            svm_train(rows, labels, class_weights="none", problem=problem)
+        with pytest.raises(ValueError, match="problem was built from other"):
+            svm_train(rows, labels, positive_label=0, problem=problem)
+
+    def test_problem_shared_across_folds_rejected(self):
+        # two rotations of four 10-row folds: equal train sizes, so only the
+        # rows themselves tell one fold's problem from the other's
+        rows, labels = _overlapping(40, 6)
+        first, second = np.arange(0, 30), np.arange(10, 40)
+        problem = fold_problem(rows[first], labels[first])
+        svm_train(rows[first], labels[first], problem=problem)
+        with pytest.raises(ValueError, match="problem was built from other"):
+            svm_train(rows[second], labels[second], problem=problem)
 
 
 class TestPrediction:
