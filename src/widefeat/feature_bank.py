@@ -24,6 +24,13 @@ bits its record would get alone in a one-row block:
 - ``m2 ** 1.5`` is Python's ``pow``, and the guards (``_VAR_FLOOR``, an
   empty range, fewer than two samples) apply per row.
 
+No column depends on which CPU-specific kernels numpy dispatches to (AVX2,
+AVX-512, ...), whose last bits can differ from one another: the 3rd and 4th
+moments are means of products of ``d * d``, not of ``d ** 3`` and
+``d ** 4``; the median and the quartiles come from one sort of ``x + 0.0``
+(which makes every zero +0.0), not from partitions; flatness takes
+``math.exp``; and the STFT magnitudes are ``sqrt(re² + im²)``.
+
 Every column is described by a :class:`FeatureDescriptor` whose lineage
 renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
 """
@@ -31,6 +38,7 @@ renders to a parseable path such as ``"dwt(db4)/detail3 → energy"``.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -214,12 +222,29 @@ def _hist_entropies(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 def _moments(block: np.ndarray) -> tuple[np.ndarray, ...]:
     """Row means, the 2nd to 4th central moments and the mean absolute deviation.
 
-    The deviations are freed on return, before the rest of the catalog runs.
+    With ``d2 = d * d``, the moments are the means of ``d2``, ``d2 * d`` and
+    ``d2 * d2``: plain multiplies, whose bits do not depend on the CPU
+    features numpy dispatches to, as its vector ``power`` does.  The
+    deviations are freed on return, before the rest of the catalog runs.
     """
     mu = np.mean(block, axis=1)
     d = block - mu[:, None]
-    return (mu, np.mean(d * d, axis=1), np.mean(d ** 3, axis=1), np.mean(d ** 4, axis=1),
+    d2 = d * d
+    return (mu, np.mean(d2, axis=1), np.mean(d2 * d, axis=1), np.mean(d2 * d2, axis=1),
             np.mean(np.abs(d), axis=1))
+
+
+def _quartile(s: np.ndarray, q: float) -> np.ndarray:
+    """Quantile ``q`` of each row of the row-sorted ``s``, by numpy's ``linear`` rule.
+
+    The virtual index ``(n - 1) * q`` and its fraction are exact for quarters,
+    and the fraction is the same for every row.
+    """
+    n = s.shape[1]
+    i = int((n - 1) * q)
+    t = (n - 1) * q - i
+    a, b = s[:, i], s[:, min(i + 1, n - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _statistics(x: np.ndarray) -> np.ndarray:
@@ -230,10 +255,13 @@ def _statistics(x: np.ndarray) -> np.ndarray:
     and kurtosis are 0 below ``_VAR_FLOOR``, the zero-crossing rate and line
     length are 0 below two samples, and the histogram entropy is 0 when every
     sample is equal; each guard applies to its own row.  Every row gets the
-    bits it would get on its own: reductions run along contiguous rows,
+    bits it would get on its own: reductions run along contiguous rows, the
+    3rd and 4th moments are products of ``d * d`` (see ``_moments``), and
     ``m2 ** 1.5`` is Python's ``pow`` (numpy's vector ``power`` may differ in
-    the last bit), and ``d ** 3``, ``d ** 4`` and ``np.median`` stay as the
-    per-statistic forms have them.
+    the last bit).  The median and the quartiles of the IQR are read from one
+    sorted copy of the rows, as ``np.median`` and ``np.percentile`` (linear)
+    compute them.  The copy is ``x + 0.0``, which turns -0.0 into +0.0, so the
+    order in which the sort leaves tied zeros cannot reach a sign bit.
     """
     block = np.atleast_2d(x)
     n = block.shape[1]
@@ -244,15 +272,18 @@ def _statistics(x: np.ndarray) -> np.ndarray:
     kurt = np.divide(m4, m2 * m2, out=np.zeros(len(block)), where=live)
     kurt[live] -= 3.0
     lo, hi = np.min(block, axis=1), np.max(block, axis=1)
-    q25, q75 = np.percentile(block, (25, 75), axis=1)
+    s = block + 0.0
+    s.sort(axis=1)
+    median = s[:, n // 2] if n % 2 else (s[:, n // 2 - 1] + s[:, n // 2]) / 2
+    iqr = _quartile(s, 0.75) - _quartile(s, 0.25)
+    del s
     zcr = line = np.zeros(len(block))
     if n >= 2:
         zcr = np.count_nonzero(block[:, :-1] * block[:, 1:] < 0, axis=1) / (n - 1)
         line = np.sum(np.abs(np.diff(block, axis=1)), axis=1)
     table = np.column_stack([
         mu, np.sqrt(m2), m2, skew, kurt, np.sqrt(np.mean(block * block, axis=1)), lo, hi,
-        hi - lo, np.median(block, axis=1), q75 - q25, mad,
-        zcr, line, _hist_entropies(block, lo, hi)])
+        hi - lo, median, iqr, mad, zcr, line, _hist_entropies(block, lo, hi)])
     return table if x.ndim == 2 else table[0]
 
 
@@ -279,7 +310,8 @@ def _spectral_features(avg_mag: np.ndarray, freqs: np.ndarray, mags: np.ndarray)
         cum = np.cumsum(power)
         out["rolloff85_hz"] = float(freqs[int(np.searchsorted(cum, 0.85 * total_power))])
         if np.all(power > 0.0):
-            out["flatness"] = float(np.exp(np.mean(np.log(power))) / np.mean(power))
+            # math.exp, not numpy's: np.exp runs on a kernel numpy picks by CPU feature
+            out["flatness"] = math.exp(float(np.mean(np.log(power)))) / float(np.mean(power))
         out["spectral_entropy"] = shannon_entropy(power / total_power)
         # four log-spaced bands over the non-DC bins
         edges = np.geomspace(freqs[1], freqs[-1], 5)
@@ -323,13 +355,16 @@ def _scan_down(a: np.ndarray, top: np.ndarray, bottom: np.ndarray, h: np.ndarray
 def _previous_greater(a: np.ndarray, at: np.ndarray) -> np.ndarray:
     """For each index q in ``at``, the largest index below q whose value exceeds a[q].
 
-    ``a[0]`` must exceed every queried value, so that such an index exists.
-    Level k of the table holds the largest of the 2**k places that end at each
-    index (fewer near the start); a query steps down from the top level and
-    moves left past every span that holds nothing higher.
+    ``a[0]`` must be ``inf`` and every queried value finite, so that such an
+    index exists.  Level k of the table holds the largest of the 2**k places
+    that end at each index (fewer near the start); a query steps down from the
+    top level and moves left past every span that holds nothing higher.  The
+    infinite entries end every search, so the levels only need to span the
+    longest stretch between two of them (or after the last one).
     """
+    reach = int(np.diff(np.flatnonzero(a == np.inf), append=len(a)).max()) - 2
     table = [a]
-    for k in range((len(a) - 2).bit_length() - 1):
+    for k in range(reach.bit_length() - 1):
         last, step = table[-1], 1 << k
         table.append(np.concatenate((last[:step], np.maximum(last[step:], last[:-step]))))
     h, out = a[at], at - 1

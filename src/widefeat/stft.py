@@ -31,7 +31,12 @@ def stft(samples, window_len: int, hop: int) -> np.ndarray:
     starts = np.arange(frames) * hop
     segs = x[..., starts[:, None] + np.arange(window_len)]
     segs *= window
-    return np.abs(np.fft.rfft(segs, axis=-1))
+    spec = np.fft.rfft(segs, axis=-1)
+    # sqrt(re² + im²) rounds the same on every CPU numpy runs on; the complex
+    # abs picks its kernel by CPU feature, and its last bits differ between them
+    mags = spec.real * spec.real
+    mags += spec.imag * spec.imag
+    return np.sqrt(mags, out=mags)
 
 
 def rfft_bin_frequencies(window_len: int, sample_rate_hz: float) -> np.ndarray:

@@ -307,15 +307,19 @@ def kkt_violation(model, rows, labels):
 
 
 def catalog_reference(x):
-    """The statistical catalog one statistic at a time, in the package's
-    earlier per-statistic form (each recomputes its own mean, moments and
-    extremes).  The float operations are the same as the one-pass form's, so
-    the two must agree bit for bit.  Returns ``{name: value}``.
+    """The statistical catalog one statistic at a time (each recomputes its
+    own mean, moments and extremes), with numpy's own ``median`` and
+    ``percentile``.  The float operations are the same as the one-pass
+    form's, so the two must agree bit for bit: the 3rd and 4th moments are
+    means of ``d2 * d`` and ``d2 * d2`` with ``d2 = d * d``, and the median
+    and quartiles read the row as ``x + 0.0``, where -0.0 becomes +0.0.
+    Returns ``{name: value}``.
     """
     def moments():
         mu = float(np.mean(x))
         d = x - mu
-        return (float(np.mean(d * d)), float(np.mean(d ** 3)), float(np.mean(d ** 4)))
+        d2 = d * d
+        return (float(np.mean(d2)), float(np.mean(d2 * d)), float(np.mean(d2 * d2)))
 
     def skewness():
         m2, m3, _ = moments()
@@ -344,8 +348,8 @@ def catalog_reference(x):
         "min": float(np.min(x)),
         "max": float(np.max(x)),
         "range": float(np.max(x) - np.min(x)),
-        "median": float(np.median(x)),
-        "iqr": float(np.percentile(x, 75) - np.percentile(x, 25)),
+        "median": float(np.median(x + 0.0)),
+        "iqr": float(np.percentile(x + 0.0, 75) - np.percentile(x + 0.0, 25)),
         "mad": float(np.mean(np.abs(x - np.mean(x)))),
         "zero_crossing_rate": 0.0 if short else
         float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1),

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from oracles import catalog_reference, dwt_reference, entropy_reference
 from widefeat import feature_bank
 from widefeat.dataset import MIN_SAMPLES, SignalRecord
 from widefeat.errors import ConfigError
-from widefeat.feature_bank import (PEAK_NAMES, STAT_NAMES, ExtractionConfig,
+from widefeat.feature_bank import (PEAK_NAMES, STAT_NAMES, ExtractionConfig, _moments,
                                    _peaks_and_troughs, _previous_greater, _statistics,
                                    band_names, build_feature_matrix, choose_dataset_wavelet,
                                    describe, extract_level0, extract_level1, extract_level2,
@@ -148,7 +152,8 @@ def _catalog_fixtures():
     rng = np.random.default_rng(41)
     noisy = np.sin(np.arange(2500) * 0.05) + 0.3 * rng.standard_normal(2500)
     fixtures = {
-        # on most random arrays d ** 3 and d * d * d differ in the last bit
+        # random arrays: a moment's sum rounds on every term's last bit, so only the
+        # oracle's own d * d products give the same bits
         "normal_2500": rng.standard_normal(2500),
         "scaled_shifted_777": 3e-3 * rng.standard_normal(777) + 0.5,
         "large_64": 1e3 * rng.standard_normal(64) - 2.0,
@@ -185,18 +190,34 @@ class TestStatistics:
             assert np.float64(got[stat]).tobytes() == np.float64(reference[stat]).tobytes(), \
                 (stat, got[stat], reference[stat])
 
+    @pytest.mark.parametrize("name", sorted(_FIXTURES))
+    def test_moments_near_the_power_forms(self, name):
+        # a product term is within two roundings of the exact power and ``d ** k``
+        # within about one, and both means sum in the same order, so they stay a
+        # few ulps of the mean absolute power apart
+        d = _FIXTURES[name] - np.mean(_FIXTURES[name])
+        _, _, m3, m4, _ = _moments(_FIXTURES[name][None, :])
+        for got, power, scale in ((m3[0], np.mean(d ** 3), np.mean(np.abs(d) ** 3)),
+                                  (m4[0], np.mean(d ** 4), np.mean(d ** 4))):
+            assert abs(got - power) <= 8 * np.spacing(scale), (got, power)
+
     def test_floor_fixtures_straddle_the_floor(self):
         assert float(np.var(_FIXTURES["below_var_floor"])) < 1e-24
         assert float(np.var(_FIXTURES["above_var_floor"])) > 1e-24
         assert _statistics(_FIXTURES["below_var_floor"])[STAT_NAMES.index("skewness")] == 0.0
         assert _statistics(_FIXTURES["above_var_floor"])[STAT_NAMES.index("skewness")] != 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 300])
+    # 1-9 samples give odd and even medians and every n mod 4, so each quartile
+    # takes each of its interpolation forms
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 300])
     def test_block_rows_bitwise_equal_to_reference(self, n):
         rng = np.random.default_rng(n)
         rows = [np.full(n, 2.5), rng.standard_normal(n), np.round(4 * rng.standard_normal(n)) / 4,
                 # samples on the exact histogram edges, where a one-ulp edge moves a count
-                np.resize(np.linspace(0.0, 1.6, 17), n)]
+                np.resize(np.linspace(0.0, 1.6, 17), n),
+                # ties, and zeros of both signs, which a sort may leave in either order
+                rng.integers(-1, 2, n).astype(float), np.full(n, -0.0),
+                np.resize([-0.0, 0.0, -1.0], n), np.resize([1.5, -0.0, 1.5, 0.0, -2.0], n)]
         if n == 300:
             rows += [_FIXTURES["below_var_floor"], _FIXTURES["above_var_floor"]]
         block = np.array(rows)
@@ -325,6 +346,17 @@ class TestPreviousGreater:
             at = np.flatnonzero(a < np.inf)
             want = [np.flatnonzero(a[:q] > a[q])[-1] for q in at]
             assert _previous_greater(a, at).tolist() == want, a
+
+    @pytest.mark.parametrize("reach", [1, 2, 8, 64])
+    def test_answer_at_the_full_reach(self, reach):
+        # the longest stretch between two infinite entries is inside the array, and
+        # its last query's answer lies exactly ``reach`` places left of the query's
+        # left neighbour: a table one level short of that reach misses it
+        a = np.concatenate(([np.inf, 1.0, np.inf], np.zeros(reach + 1), [np.inf, 2.0, 0.5]))
+        at = np.flatnonzero(a < np.inf)
+        want = [np.flatnonzero(a[:q] > a[q])[-1] for q in at]
+        assert want[-3] == 2 and at[-3] - 1 - want[-3] == reach
+        assert _previous_greater(a, at).tolist() == want
 
 
 class TestPeakFinder:
@@ -557,6 +589,45 @@ class TestBuildMatrix:
     def test_empty_records_rejected(self):
         with pytest.raises(ConfigError, match="zero records"):
             build_feature_matrix([], ExtractionConfig(), max_level=1)
+
+
+_DISPATCH_CHILD = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from widefeat.dataset import SignalRecord
+from widefeat.feature_bank import ExtractionConfig, build_feature_matrix
+if any(__cpu_features__[target] for target in sys.argv[2:]):
+    sys.exit("numpy still dispatches to a disabled target")
+records = [SignalRecord(id=f"r{i}", samples=x, sample_rate_hz=1000.0, label=i % 2)
+           for i, x in enumerate(np.load(sys.argv[1]))]
+sys.stdout.buffer.write(build_feature_matrix(records, ExtractionConfig(), 2).values.tobytes())
+"""
+
+
+class TestCpuDispatch:
+    def test_features_do_not_depend_on_dispatched_kernels(self, tmp_path):
+        # numpy picks some kernels at run time by CPU feature (AVX2, AVX-512, ...),
+        # and their last bits may differ from the baseline's; a child interpreter
+        # with every such target disabled must extract the same bytes
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+        if not enabled:
+            pytest.skip("numpy dispatches to no CPU target on this host")
+        # np.exp's tiers differ on few inputs: flatness shows it only from about
+        # 96 of these records on
+        rows = _pcg_rows(np.random.default_rng(21), 96)
+        np.save(tmp_path / "rows.npy", rows)
+        records = [record_from(x, 1000.0, label=i % 2, rid=f"r{i}") for i, x in enumerate(rows)]
+        matrix = build_feature_matrix(records, ExtractionConfig(), max_level=2)
+        src = Path(feature_bank.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "rows.npy"),
+                               *enabled], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        child = np.frombuffer(proc.stdout).reshape(matrix.values.shape)
+        assert [d.name for d, a, b in zip(matrix.descriptors, child.T, matrix.values.T)
+                if a.tobytes() != b.tobytes()] == []
 
 
 class TestDescribe:
