@@ -27,7 +27,7 @@ class EvalConfig:
     gamma: float | None = None
     degree: int = 3
     coef0: float = 1.0
-    positive_class: int | None = None  # None means the larger label value
+    positive_class: int | None = None  # None means each fold's larger train label
 
     def __post_init__(self):
         c_grid = list_setting(self.c_grid, "evaluation.c_grid")
@@ -68,58 +68,53 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class FoldOutcome:
+    """One fold's winning model with its eval-row report, plus a test-row report once
+    :func:`score_test_rows` adds one; a single-class training fold keeps no model."""
     fold: int
     eval_report: MetricReport | None
     test_report: MetricReport | None
     feature_ids: tuple[int, ...]
-    kernel: str
-    failed: bool = False
     model: SvmModel | None = field(default=None, repr=False, compare=False)
 
-
-def _positive_class(labels: np.ndarray, config: EvalConfig) -> int:
-    if config.positive_class is not None:
-        return config.positive_class
-    return int(np.max(labels))
+    @property
+    def failed(self) -> bool:
+        return self.model is None
 
 
 def _fit_fold(plan: FoldPlan, fold: int, rows, labels, config: EvalConfig,
-              specs: list[KernelSpec], positive: int, feature_ids: tuple[int, ...],
-              kernel_prefix: str = "") -> FoldOutcome:
+              specs: list[KernelSpec], feature_ids: tuple[int, ...]) -> FoldOutcome:
     """Fit every kernel/C pair on the fold's train rows; the best evaluation-row
     metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
-    The fits share one :class:`~widefeat.svm.FoldProblem`, so the rows are standardized
-    once and each kernel's Gram is built once for the whole C grid.
-    A training set holding a single class marks the fold failed."""
+    The fits share one :class:`~widefeat.svm.FoldProblem`, which picks the
+    positive label, so the rows are standardized once and each kernel's Gram is
+    built once for the whole C grid."""
     train_idx, eval_idx, _ = fold_roles(plan, fold)
     x_train, y_train = rows(train_idx), labels[train_idx]
     x_eval, y_eval = rows(eval_idx), labels[eval_idx]
     best = None
     try:
-        problem = fold_problem(x_train, y_train, config.class_weight_mode, positive)
+        problem = fold_problem(x_train, y_train, config.class_weight_mode, config.positive_class)
         for spec in specs:
             for c in config.c_grid:
-                model = svm_train(
-                    x_train, y_train, kernel=spec, c=c,
-                    class_weights=config.class_weight_mode,
-                    positive_label=positive, problem=problem)
-                report = compute_metrics(svm_predict(model, x_eval), y_eval, positive)
+                model = svm_train(x_train, y_train, kernel=spec, c=c,
+                                  class_weights=config.class_weight_mode, problem=problem)
+                report = compute_metrics(svm_predict(model, x_eval), y_eval, model.positive_label)
                 score = report.value(config.metric)
                 if best is None or score > best[0]:
-                    best = (score, model, f"{spec.kind}(C={c:g})", report)
+                    best = (score, model, report)
     except TrainingError:
         return FoldOutcome(fold=fold, eval_report=None, test_report=None,
-                           feature_ids=feature_ids, kernel="", failed=True)
-    _, model, name, report = best
+                           feature_ids=feature_ids)
+    _, model, report = best
     return FoldOutcome(fold=fold, eval_report=report, test_report=None,
-                       feature_ids=feature_ids, kernel=kernel_prefix + name, model=model)
+                       feature_ids=feature_ids, model=model)
 
 
-def _with_test_report(outcome: FoldOutcome, test_rows, test_labels,
-                      positive: int) -> FoldOutcome:
+def _with_test_report(outcome: FoldOutcome, test_rows, test_labels) -> FoldOutcome:
     if outcome.failed:
         return outcome
-    report = compute_metrics(svm_predict(outcome.model, test_rows), test_labels, positive)
+    model = outcome.model
+    report = compute_metrics(svm_predict(model, test_rows), test_labels, model.positive_label)
     return replace(outcome, test_report=report)
 
 
@@ -139,24 +134,20 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
         raise ValueError("feature ids must not be empty")
     if any(not 0 <= i < values.shape[1] for i in feature_ids):
         raise ValueError(f"feature ids {feature_ids} outside matrix columns")
-    positive = _positive_class(labels, config)
-    specs = [spec.resolve(len(feature_ids)) for spec in config.kernel_specs()]
     return [_fit_fold(plan, fold, lambda idx: values[np.ix_(idx, feature_ids)], labels,
-                      config, specs, positive, feature_ids)
+                      config, config.kernel_specs(), feature_ids)
             for fold in range(plan.p)]
 
 
-def score_test_rows(outcomes, matrix, labels, plan: FoldPlan,
-                    config: EvalConfig) -> list[FoldOutcome]:
+def score_test_rows(outcomes, matrix, labels, plan: FoldPlan) -> list[FoldOutcome]:
     """Return ``outcomes`` with each fold's test rows scored by its kept model."""
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
-    positive = _positive_class(labels, config)
     scored = []
     for outcome in outcomes:
         test_idx = fold_roles(plan, outcome.fold)[2]
         test_rows = values[np.ix_(test_idx, outcome.feature_ids)]
-        scored.append(_with_test_report(outcome, test_rows, labels[test_idx], positive))
+        scored.append(_with_test_report(outcome, test_rows, labels[test_idx]))
     return scored
 
 
@@ -188,9 +179,10 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
-    positive = _positive_class(labels, config)
+    if kernel not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel {kernel!r}")
     spec = KernelSpec(kind=kernel, gamma=config.gamma, degree=config.degree,
-                      coef0=config.coef0).resolve(n_components)
+                      coef0=config.coef0)
     all_ids = tuple(range(values.shape[1]))
 
     outcomes = []
@@ -204,8 +196,6 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
         def project(idx):
             return ((values[idx] - mean) / std) @ components.T
 
-        outcome = _fit_fold(plan, fold, project, labels, config, [spec], positive, all_ids,
-                            kernel_prefix=f"pca{n_components}+")
-        outcomes.append(_with_test_report(outcome, project(test_idx), labels[test_idx],
-                                          positive))
+        outcome = _fit_fold(plan, fold, project, labels, config, [spec], all_ids)
+        outcomes.append(_with_test_report(outcome, project(test_idx), labels[test_idx]))
     return outcomes

@@ -201,7 +201,6 @@ def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
     if not len(base) <= c <= 20:
         raise ValueError(f"need |base_set| <= c <= 20, got |base|={len(base)}, c={c}")
     evaluations = []
-    ranked = []
     for mask in range(1, 1 << len(base)):
         ids = tuple(base[i] for i in range(len(base)) if mask >> i & 1)
         outcomes = evaluate_feature_set(matrix, labels, ids, plan, eval_config)
@@ -209,9 +208,10 @@ def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
                              eval_metrics=_eval_metrics(outcomes, eval_config.metric))
         evaluations.append({"ids": list(ids), "min_metric": cand.min_eval,
                             "mean_metric": cand.mean_eval})
-        ranked.append(((-cand.min_eval, -cand.mean_eval, len(ids), ids), ids))
-    ranked.sort(key=lambda item: item[0])
-    return RefinementResult(base_ids=base, chosen_ids=ranked[0][1], evaluations=evaluations)
+    best = min(evaluations, key=lambda e: (-e["min_metric"], -e["mean_metric"],
+                                           len(e["ids"]), e["ids"]))
+    return RefinementResult(base_ids=base, chosen_ids=tuple(best["ids"]),
+                            evaluations=evaluations)
 
 
 def recommend(records, config: RecommendConfig) -> Recommendation:
@@ -310,7 +310,7 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
 
     for fe in (fe1, fe2):
         fe.test_reports = [o.test_report for o in score_test_rows(
-            outcomes[fe.ids], matrix, labels, plan, config.evaluation)]
+            outcomes[fe.ids], matrix, labels, plan)]
         vals = [r.value(config.metric) for r in fe.test_reports if r is not None]
         fe.mean_test_metric = float(np.mean(vals)) if vals else None
 

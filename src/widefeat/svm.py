@@ -269,12 +269,7 @@ def decision_function(model: SvmModel, rows) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(
             f"expected rows with {model.n_features} features, got shape {x.shape}")
-    if x.shape[0] == 0:
-        return np.zeros(0)
-    xs = model.standardize(x)
-    if model.support_vectors.shape[0] == 0:
-        return np.full(x.shape[0], model.bias)
-    k = kernel_matrix(model.kernel, xs, model.support_vectors)
+    k = kernel_matrix(model.kernel, model.standardize(x), model.support_vectors)
     return k @ (model.alphas * model.sv_labels) + model.bias
 
 

@@ -60,10 +60,10 @@ def amplitude_shape_records(n_records=80, n=64, rate=100.0, seed=7):
     return records
 
 
-def score_garbled_test_rows(outcomes, matrix, labels, plan, config):
+def score_garbled_test_rows(outcomes, matrix, labels, plan):
     """Stand-in for ``widefeat.recommender.score_test_rows`` that scores every fold's
     test rows as if each of their values were 1e9."""
-    return score_test_rows(outcomes, np.full(matrix.values.shape, 1e9), labels, plan, config)
+    return score_test_rows(outcomes, np.full(matrix.values.shape, 1e9), labels, plan)
 
 
 def write_csv_dataset(tmp_path: Path, records, rate, class_names=("neg", "pos")):

@@ -3,8 +3,10 @@ import pytest
 
 from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca,
                                       pca_baseline, score_test_rows)
-from widefeat.dataset import FoldPlan, SignalRecord, make_folds
+from widefeat.dataset import FoldPlan, SignalRecord, fold_roles, make_folds
 from widefeat.errors import ConfigError
+from widefeat.metrics import compute_metrics
+from widefeat.svm import svm_predict
 
 
 def records_for(labels):
@@ -12,9 +14,16 @@ def records_for(labels):
                          label=int(l)) for i, l in enumerate(labels)]
 
 
-def planted_matrix(n=50, n_features=6, gap=6.0, seed=0):
+def winners(outcomes):
+    """Each fold's winning kernel and C; ``FoldOutcome`` equality leaves the model out."""
+    return [None if o.failed else (o.model.kernel, o.model.c) for o in outcomes]
+
+
+def planted_matrix(n=50, n_features=6, gap=6.0, seed=0, period=2):
+    """Label 1 on every ``period``-th row, 0 elsewhere; column 2 is shifted by ``gap``
+    on the label-1 rows."""
     rng = np.random.default_rng(seed)
-    labels = np.array([0, 1] * (n // 2))
+    labels = (np.arange(n) % period == period - 1).astype(int)
     values = rng.standard_normal((n, n_features))
     values[:, 2] = labels * gap + 0.3 * rng.standard_normal(n)
     return values, labels
@@ -47,7 +56,7 @@ class TestEvaluateFeatureSet:
         values, labels = planted_matrix()
         plan = make_folds(records_for(labels), p=5, seed=1)
         outcomes = score_test_rows(evaluate_feature_set(values, labels, (2,), plan, EvalConfig()),
-                                   values, labels, plan, EvalConfig())
+                                   values, labels, plan)
         assert len(outcomes) == 5
         for o in outcomes:
             assert not o.failed
@@ -61,7 +70,7 @@ class TestEvaluateFeatureSet:
         plan = make_folds(records_for(shuffled), p=5, seed=2)
         config = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0,))
         outcomes = score_test_rows(evaluate_feature_set(values, shuffled, (0, 1, 2), plan, config),
-                                   values, shuffled, plan, config)
+                                   values, shuffled, plan)
         mean_acc = np.mean([o.test_report.accuracy for o in outcomes])
         assert abs(mean_acc - 0.5) <= 0.15
 
@@ -76,7 +85,7 @@ class TestEvaluateFeatureSet:
         config = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0, 10.0), gamma=1.0)
         outcomes = evaluate_feature_set(values, labels, (0, 1), plan, config)
         for o in outcomes:
-            assert o.kernel.startswith("rbf")
+            assert o.model.kernel.kind == "rbf"
             assert o.eval_report.accuracy == 1.0
 
     def test_standardization_leak_freedom(self):
@@ -84,14 +93,15 @@ class TestEvaluateFeatureSet:
         plan = make_folds(records_for(labels), p=5, seed=4)
         config = EvalConfig(kernels=("linear",), c_grid=(1.0,))
         baseline = score_test_rows(evaluate_feature_set(values, labels, (0, 1, 2), plan, config),
-                                   values, labels, plan, config)
+                                   values, labels, plan)
         for fold in range(plan.p):
             mutated = values.copy()
             test_idx = plan.fold_indices(fold)
             mutated[test_idx] = 1e6  # garbage in that fold's test rows only
             redo = score_test_rows(evaluate_feature_set(mutated, labels, (0, 1, 2), plan, config),
-                                   mutated, labels, plan, config)
-            assert redo[fold].kernel == baseline[fold].kernel
+                                   mutated, labels, plan)
+            assert redo[fold].model.kernel == baseline[fold].model.kernel
+            assert redo[fold].model.c == baseline[fold].model.c
             assert redo[fold].eval_report.to_dict() == baseline[fold].eval_report.to_dict()
             assert redo[fold].test_report.to_dict() != baseline[fold].test_report.to_dict()
 
@@ -100,11 +110,11 @@ class TestEvaluateFeatureSet:
         plan = make_folds(records_for(labels), p=5, seed=5)
         config = EvalConfig(kernels=("linear",), c_grid=(1.0,))
         outcomes = evaluate_feature_set(values, labels, (2,), plan, config)
-        clean = score_test_rows(outcomes, values, labels, plan, config)
-        garbled = score_test_rows(outcomes, np.full(values.shape, -50.0), labels, plan, config)
+        clean = score_test_rows(outcomes, values, labels, plan)
+        garbled = score_test_rows(outcomes, np.full(values.shape, -50.0), labels, plan)
         for a, b in zip(clean, garbled):
             assert a.eval_report.to_dict() == b.eval_report.to_dict()
-            assert a.kernel == b.kernel
+            assert a.model is b.model
             assert a.test_report.to_dict() != b.test_report.to_dict()
 
     def test_single_class_training_fold_marked_failed(self):
@@ -125,6 +135,7 @@ class TestEvaluateFeatureSet:
         a = evaluate_feature_set(values, labels, (0, 2), plan, config)
         b = evaluate_feature_set(values, labels, (0, 2), plan, config)
         assert a == b
+        assert winners(a) == winners(b)
 
     @pytest.mark.parametrize("ids, message", [((99,), "outside matrix columns"),
                                               ((), "must not be empty")])
@@ -147,6 +158,54 @@ class TestEvaluateFeatureSet:
             with np.errstate(all="ignore"):  # the other folds train and tune on them
                 redo = evaluate_feature_set(garbled, labels, (0, 2), plan, config)
             assert redo[fold] == clean[fold]
+            assert winners(redo)[fold] == winners(clean)[fold]
+
+
+def pca_projection(values, plan, fold, n_components):
+    """``pca_baseline``'s projection for ``fold``, rebuilt from the fold's train rows."""
+    train_idx = fold_roles(plan, fold)[0]
+    mean, std = values[train_idx].mean(axis=0), values[train_idx].std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    components, _ = fit_pca((values[train_idx] - mean) / std, n_components)
+    return lambda idx: ((values[idx] - mean) / std) @ components.T
+
+
+class TestPositiveLabel:
+    """``positive_class=0`` makes label 0 the positive class of every fold's model, and
+    every eval and test report counts hits on label 0.  Test folds hold twice as many
+    0s as 1s, so reports taken with the wrong positive label differ."""
+    IDS = (0, 1, 2)
+
+    def outcomes(self, values, labels, plan, positive):
+        """(outcome, rows) pairs of evaluate_feature_set + score_test_rows and of
+        pca_baseline, where ``rows(idx)`` gives the model inputs of the records idx."""
+        config = EvalConfig(kernels=("linear", "rbf"), c_grid=(1.0, 10.0),
+                            positive_class=positive)
+        selected = score_test_rows(evaluate_feature_set(values, labels, self.IDS, plan, config),
+                                   values, labels, plan)
+        n_components = values.shape[1]
+        pca = pca_baseline(values, labels, plan, n_components, config)
+        return ([(o, lambda idx: values[np.ix_(idx, self.IDS)]) for o in selected]
+                + [(o, pca_projection(values, plan, o.fold, n_components)) for o in pca])
+
+    def test_reports_count_label_zero_as_positive(self):
+        values, labels = planted_matrix(n=60, gap=1.5, seed=3, period=3)
+        plan = make_folds(records_for(labels), p=5, seed=2)
+        for o, rows in self.outcomes(values, labels, plan, positive=0):
+            assert (o.model.positive_label, o.model.negative_label) == (0, 1)
+            _, eval_idx, test_idx = fold_roles(plan, o.fold)
+            for report, idx in ((o.eval_report, eval_idx), (o.test_report, test_idx)):
+                assert report == compute_metrics(svm_predict(o.model, rows(idx)), labels[idx], 0)
+
+    def test_separable_rows_swap_the_confusion_counts(self):
+        values, labels = planted_matrix(n=60, seed=4, period=3)
+        plan = make_folds(records_for(labels), p=5, seed=3)
+        zero = self.outcomes(values, labels, plan, positive=0)
+        one = self.outcomes(values, labels, plan, positive=1)
+        for (a, _), (b, _) in zip(zero, one):
+            for ra, rb in ((a.eval_report, b.eval_report), (a.test_report, b.test_report)):
+                assert ra.tp != ra.tn
+                assert (ra.tp, ra.tn, ra.fp, ra.fn) == (rb.tn, rb.tp, rb.fn, rb.fp)
 
 
 class TestPca:
@@ -159,7 +218,7 @@ class TestPca:
         config = EvalConfig(kernels=("rbf",), c_grid=(1.0, 10.0))
         pca1 = pca_baseline(values, labels, plan, 1, config)
         full = score_test_rows(evaluate_feature_set(values, labels, tuple(range(8)), plan, config),
-                               values, labels, plan, config)
+                               values, labels, plan)
         acc1 = np.mean([o.test_report.accuracy for o in pca1])
         acc_full = np.mean([o.test_report.accuracy for o in full])
         assert acc1 == pytest.approx(acc_full)
@@ -194,6 +253,15 @@ class TestPca:
         plan = make_folds(records_for(labels), p=5, seed=8)
         with pytest.raises(ValueError, match="n_components"):
             pca_baseline(values, labels, plan, 50, EvalConfig())
+
+    def test_unknown_kernel_rejected_even_when_every_fold_fails(self):
+        labels = np.array([0] * 10 + [1] * 20)
+        # with p=3 the train rows are one fold, and every fold holds one class
+        plan = FoldPlan(p=3, assignments=np.arange(30) // 10, seed=0)
+        values = np.random.default_rng(8).standard_normal((30, 3))
+        assert all(o.failed for o in pca_baseline(values, labels, plan, 2, EvalConfig()))
+        with pytest.raises(ValueError, match="unknown kernel"):
+            pca_baseline(values, labels, plan, 2, EvalConfig(), kernel="sigmoid")
 
     def test_sign_convention(self):
         rng = np.random.default_rng(14)

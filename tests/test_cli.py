@@ -33,7 +33,7 @@ FAST_RECOMMEND = {
 
 def all_folds_failed(matrix, labels, ids, plan, config):
     return [FoldOutcome(fold=f, eval_report=None, test_report=None,
-                        feature_ids=tuple(ids), kernel="", failed=True)
+                        feature_ids=tuple(ids))
             for f in range(plan.p)]
 
 
@@ -135,15 +135,16 @@ class TestRecommend:
     def test_json_artifacts_reproducible(self, planted_manifest, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(FAST_RECOMMEND))
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert run_cli("recommend", planted_manifest, "--config", config,
-                           "--out", out) == 0
-            run_dir = next(out.iterdir())
-            outs.append(((run_dir / "recommendation.json").read_bytes(),
-                         (run_dir / "metrics.json").read_bytes()))
-        assert outs[0] == outs[1]
+        for command, artifacts in (("recommend", ("recommendation.json", "metrics.json")),
+                                   ("baseline-pca", ("metrics.json",))):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / command / name
+                assert run_cli(command, planted_manifest, "--config", config,
+                               "--out", out) == 0
+                run_dir = next(out.iterdir())
+                outs.append([(run_dir / artifact).read_bytes() for artifact in artifacts])
+            assert outs[0] == outs[1], command
 
     def test_run_error_exits_3_and_dumps_trace(self, planted_manifest, tmp_path,
                                                monkeypatch, capsys):

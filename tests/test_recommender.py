@@ -7,7 +7,8 @@ import pytest
 
 import widefeat.classifier_eval as classifier_eval_module
 import widefeat.recommender as recommender_module
-from conftest import amplitude_shape_records, score_garbled_test_rows, sine_records
+from conftest import (amplitude_shape_records, score_garbled_test_rows, sine_records,
+                      write_csv_dataset)
 from widefeat.classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set,
                                       score_test_rows)
 from widefeat.dataset import fold_roles, make_folds, SignalRecord
@@ -360,7 +361,7 @@ class TestTraceAndSets:
     def test_all_folds_failed_raises_run_error(self, monkeypatch):
         def all_failed(matrix, labels, ids, plan, config):
             return [FoldOutcome(fold=f, eval_report=None, test_report=None,
-                                feature_ids=tuple(ids), kernel="", failed=True)
+                                feature_ids=tuple(ids))
                     for f in range(plan.p)]
 
         monkeypatch.setattr(recommender_module, "evaluate_feature_set", all_failed)
@@ -398,8 +399,22 @@ class TestEvaluationOncePerSet:
         labels = np.array([r.label for r in records])
         for fe in (rec.fe1, rec.fe2):
             refit = evaluate_feature_set(rec.matrix, labels, fe.ids, rec.plan, config.evaluation)
-            scored = score_test_rows(refit, rec.matrix, labels, rec.plan, config.evaluation)
+            scored = score_test_rows(refit, rec.matrix, labels, rec.plan)
             assert fe.test_reports == [o.test_report for o in scored]
+
+    def test_readme_library_blocks_run_and_score_fe2_without_refit(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        write_csv_dataset(tmp_path, sine_records(), 200.0)
+        monkeypatch.chdir(tmp_path)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+        assert "Fe2" in capsys.readouterr().out
+        assert [o.test_report for o in namespace["tested"]] == namespace["rec"].fe2.test_reports
 
 
 class TestSelectionOncePerFold:

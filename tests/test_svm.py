@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,18 @@ class TestPrediction:
         rows, labels = separable_blobs()
         model = svm_train(rows, labels)
         assert svm_predict(model, np.zeros((0, 2))).size == 0
+        assert decision_function(model, np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    def test_model_without_support_vectors_decides_by_bias(self, kind):
+        rows, labels = separable_blobs(seed=10)
+        trained = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=1.0)
+        for bias in (-0.5, 0.0, 0.5):
+            model = replace(trained, support_vectors=np.empty((0, 2)), alphas=np.empty(0),
+                            sv_labels=np.empty(0), sv_box=np.empty(0), bias=bias)
+            assert np.array_equal(decision_function(model, rows), np.full(len(rows), bias))
+            side = model.positive_label if bias >= 0.0 else model.negative_label
+            assert np.array_equal(svm_predict(model, rows), np.full(len(rows), side))
 
     def test_poly_kernel_runs(self):
         rows, labels = separable_blobs(seed=9)
