@@ -3,8 +3,8 @@ for labeled 1-D sensor time series."""
 
 from .classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set, pca_baseline,
                               score_test_rows)
-from .dataset import (DatasetManifest, FoldPlan, SignalRecord, fold_roles, load_dataset,
-                      load_manifest, make_folds)
+from .dataset import (DatasetManifest, FoldPlan, SignalRecord, WavRecord, fold_roles,
+                      load_dataset, load_manifest, make_folds)
 from .errors import (ConfigError, LoadError, RunError, TrainingError, ValidationError,
                      WidefeatError)
 from .feature_bank import (ExtractionConfig, FeatureDescriptor, FeatureMatrix,

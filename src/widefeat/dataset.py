@@ -3,7 +3,9 @@
 Datasets are described by a JSON manifest pointing at one signal file per
 record.  Two file formats are supported: a single-column CSV (optional one
 line header) and PCM WAV (8/16/24-bit; channel 0 of multichannel files),
-whose samples are rescaled to [-1, 1].
+whose samples are rescaled to [-1, 1].  WAV records are read from their
+files when their samples are asked for, so a loaded WAV dataset holds no
+samples in memory.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ MIN_FOLDS, MAX_FOLDS = 5, 10
 _STAT_GAIN = 8.0
 
 
+def _check_record(rid: str, n_samples: int, rate: float, label: int) -> None:
+    if n_samples < MIN_SAMPLES:
+        raise ValidationError(f"record {rid!r}: needs >= {MIN_SAMPLES} samples, got {n_samples}")
+    if not rate > 0:
+        raise ValidationError(f"record {rid!r}: sample rate must be positive, got {rate}")
+    if label < 0:
+        raise ValidationError(f"record {rid!r}: label must be a 0-based class index")
+
+
 @dataclass(frozen=True)
 class SignalRecord:
     """One labeled signal instance."""
@@ -39,9 +50,10 @@ class SignalRecord:
         samples = np.asarray(self.samples, dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size < MIN_SAMPLES:
+        if samples.ndim != 1:
             raise ValidationError(
-                f"record {self.id!r}: needs >= {MIN_SAMPLES} samples, got {samples.size}")
+                f"record {self.id!r}: samples must be 1-D, got shape {samples.shape}")
+        _check_record(self.id, samples.size, self.sample_rate_hz, self.label)
         if not np.isfinite(samples).all():
             raise ValidationError(f"record {self.id!r}: samples contain NaN or Inf")
         limit = (sys.float_info.max / samples.size) ** 0.25 / _STAT_GAIN
@@ -49,11 +61,38 @@ class SignalRecord:
             raise ValidationError(
                 f"record {self.id!r}: samples above {limit:.3g} in magnitude overflow "
                 f"the feature statistics; rescale upstream")
-        if not self.sample_rate_hz > 0:
-            raise ValidationError(
-                f"record {self.id!r}: sample rate must be positive, got {self.sample_rate_hz}")
-        if self.label < 0:
-            raise ValidationError(f"record {self.id!r}: label must be a 0-based class index")
+
+    @property
+    def n_samples(self) -> int:
+        return self.samples.size
+
+
+@dataclass(frozen=True)
+class WavRecord:
+    """One labeled WAV record that holds its file's path, not its samples.
+
+    Each ``samples`` access reads the file again, so a dataset of these keeps
+    no samples in memory.  PCM samples lie in [-1, 1], so they are finite and
+    within the feature statistics' magnitude limit by construction.
+    """
+
+    id: str
+    path: Path
+    n_samples: int
+    sample_rate_hz: float
+    label: int
+
+    def __post_init__(self):
+        _check_record(self.id, self.n_samples, self.sample_rate_hz, self.label)
+
+    @property
+    def samples(self) -> np.ndarray:
+        samples = _read_wav(self.path)
+        if samples.size != self.n_samples:
+            raise LoadError(f"{self.path}: now holds {samples.size} samples, not the "
+                            f"{self.n_samples} it held when the dataset was loaded")
+        samples.flags.writeable = False
+        return samples
 
 
 @dataclass(frozen=True)
@@ -148,7 +187,8 @@ def _read_csv_column(path: Path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _read_wav(path: Path) -> tuple[np.ndarray, float]:
+def _wav_frames(path: Path) -> tuple[bytes, int, int, float]:
+    """The sample bytes of a PCM WAV file, its sample width, channel count and rate."""
     try:
         with wave.open(str(path), "rb") as wav:
             width = wav.getsampwidth()
@@ -160,36 +200,47 @@ def _read_wav(path: Path) -> tuple[np.ndarray, float]:
     if len(frames) % (width * channels):
         raise LoadError(f"{path}: {len(frames)} bytes of sample data are not a whole number "
                         f"of {width * channels}-byte frames; the file is truncated")
+    if width not in (1, 2, 3):
+        raise LoadError(f"{path}: unsupported PCM sample width {width * 8} bits")
+    return frames, width, channels, float(rate)
+
+
+def _read_wav(path: Path) -> np.ndarray:
+    """Channel 0 of a PCM WAV file as a contiguous float64 array in [-1, 1]."""
+    frames, width, channels, _ = _wav_frames(path)
     if width == 1:
-        data = np.frombuffer(frames, dtype=np.uint8).astype(np.float64)
+        data = np.frombuffer(frames, dtype=np.uint8)[::channels].astype(np.float64)
         samples = (data - 128.0) / 128.0
     elif width == 2:
-        data = np.frombuffer(frames, dtype="<i2").astype(np.float64)
+        data = np.frombuffer(frames, dtype="<i2")[::channels].astype(np.float64)
         samples = data / 32768.0
-    elif width == 3:
-        raw = np.frombuffer(frames, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+    else:
+        raw = np.frombuffer(frames, dtype=np.uint8).reshape(-1, 3)[::channels].astype(np.int32)
         data = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
         data = np.where(data >= 1 << 23, data - (1 << 24), data)
         samples = data.astype(np.float64) / 8388608.0
-    else:
-        raise LoadError(f"{path}: unsupported PCM sample width {width * 8} bits")
-    if channels > 1:
-        samples = samples[::channels]
-    return samples, float(rate)
+    return samples
 
 
-def load_dataset(manifest: DatasetManifest) -> list[SignalRecord]:
-    """Load every manifest entry into a validated :class:`SignalRecord`."""
+def load_dataset(manifest: DatasetManifest) -> list[SignalRecord | WavRecord]:
+    """Load every manifest entry into a validated record.
+
+    A CSV column becomes a :class:`SignalRecord` that holds its samples.  A
+    WAV file becomes a :class:`WavRecord`: the file is read once here to check
+    it, and again each time its samples are asked for.
+    """
     manifest.validate()
     records = []
     for entry in manifest.records:
         if manifest.format == "csv_column":
-            samples = _read_csv_column(entry.path)
-            rate = manifest.sample_rate_hz
+            records.append(SignalRecord(id=entry.id, samples=_read_csv_column(entry.path),
+                                        sample_rate_hz=manifest.sample_rate_hz,
+                                        label=entry.label))
         else:
-            samples, rate = _read_wav(entry.path)
-        records.append(SignalRecord(
-            id=entry.id, samples=samples, sample_rate_hz=rate, label=entry.label))
+            frames, width, channels, rate = _wav_frames(entry.path)
+            records.append(WavRecord(id=entry.id, path=entry.path,
+                                     n_samples=len(frames) // (width * channels),
+                                     sample_rate_hz=rate, label=entry.label))
     return records
 
 

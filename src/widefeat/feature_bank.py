@@ -194,29 +194,49 @@ STAT_NAMES = ("mean", "std", "variance", "skewness", "kurtosis", "rms", "min", "
 _HIST_BINS = 16
 
 
-def _hist_entropies(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """16-bin amplitude histogram entropy of each row of ``x``, whose range is [lo, hi].
+def _hist_entropies(x: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-bin amplitude histogram entropy of each row of ``x``, whose range is [lo, hi]
+    and whose sorted rows are ``s``.
 
-    Follows ``np.histogram(row, bins=16, range=(lo, hi))``: the same
-    ``linspace`` edges, the same index estimate and the same one-ulp
-    corrections, with one ``bincount`` for the whole block.  Dividing a range
-    by 16 is exact down to 2**-1018, so a row's edges do not depend on the
-    other rows of the ``linspace`` call.  Rows with ``hi == lo`` get 0.
-    Where ``np.histogram`` refuses a range only a few ulps wide, each
-    distinct value falls in its own bin.
+    Counts as ``np.histogram(row, bins=16, range=(lo, hi))`` does, on the edges
+    ``np.linspace(lo, hi, 17)`` gives each row alone.  Where a row's edges rise
+    strictly and its bin width is a normal float of at least 2**-40 of its
+    largest magnitude, numpy's index estimate lands within one bin of each
+    value's bin and its corrections settle it: bin i holds the values from
+    edge i up to, not including, edge i + 1 (the last bin also ``hi``), so the
+    counts are where the inner edges fall in the sorted row.  The other rows,
+    whose bins are subnormal or only ulps wide, run numpy's estimate and
+    corrections; where ``np.histogram`` refuses a range only a few ulps wide,
+    each distinct value falls in its own bin.  Rows with ``hi == lo`` get 0.
     """
+    rows, n = x.shape
     live = hi > lo
-    edges = np.linspace(lo, hi, _HIST_BINS + 1, axis=1)
-    span = np.where(live, hi - lo, 1.0)[:, None]  # 1.0 only keeps dead rows finite
-    idx = ((x - lo[:, None]) / span * _HIST_BINS).astype(np.intp)
-    idx[idx == _HIST_BINS] -= 1
-    idx[x < np.take_along_axis(edges, idx, axis=1)] -= 1
-    idx[(x >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != _HIST_BINS - 1)] += 1
-    idx += _HIST_BINS * np.arange(len(x))[:, None]
-    counts = np.bincount(idx.ravel(), minlength=len(x) * _HIST_BINS)
+    span = hi - lo
+    width = span / _HIST_BINS
+    steps = np.arange(_HIST_BINS + 1.0)
+    # each row's own linspace: a width that underflows to 0 gives (i / 16) * span
+    edges = np.where((width == 0.0)[:, None], np.outer(span, steps / _HIST_BINS),
+                     np.outer(width, steps)) + lo[:, None]
+    edges[:, -1] = hi
+    by_sort = (np.all(edges[:, 1:] > edges[:, :-1], axis=1) & (width >= np.finfo(float).tiny)
+               & (width >= 2.0 ** -40 * np.maximum(np.abs(lo), np.abs(hi))))
+    below = np.zeros((rows, _HIST_BINS + 1), dtype=np.intp)  # values below each edge
+    below[:, -1] = n
+    for i in np.flatnonzero(by_sort):
+        below[i, 1:-1] = np.searchsorted(s[i], edges[i, 1:-1])
+    counts = np.diff(below, axis=1)
+    narrow = np.flatnonzero(live & ~by_sort)
+    if narrow.size:
+        xn, en, lon = x[narrow], edges[narrow], lo[narrow][:, None]
+        idx = ((xn - lon) / span[narrow][:, None] * _HIST_BINS).astype(np.intp)
+        idx[idx == _HIST_BINS] -= 1
+        idx[xn < np.take_along_axis(en, idx, axis=1)] -= 1
+        idx[(xn >= np.take_along_axis(en, idx + 1, axis=1)) & (idx != _HIST_BINS - 1)] += 1
+        idx += _HIST_BINS * np.arange(narrow.size)[:, None]
+        counts[narrow] = np.bincount(idx.ravel(), minlength=narrow.size * _HIST_BINS
+                                     ).reshape(narrow.size, _HIST_BINS)
     # each row's own nonzero bins: zeros padded into the sum would regroup it
-    return np.array([shannon_entropy(row / x.shape[1]) if ok else 0.0
-                     for row, ok in zip(counts.reshape(len(x), _HIST_BINS), live)])
+    return np.array([shannon_entropy(row / n) if ok else 0.0 for row, ok in zip(counts, live)])
 
 
 def _moments(block: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -260,8 +280,9 @@ def _statistics(x: np.ndarray) -> np.ndarray:
     ``m2 ** 1.5`` is Python's ``pow`` (numpy's vector ``power`` may differ in
     the last bit).  The median and the quartiles of the IQR are read from one
     sorted copy of the rows, as ``np.median`` and ``np.percentile`` (linear)
-    compute them.  The copy is ``x + 0.0``, which turns -0.0 into +0.0, so the
-    order in which the sort leaves tied zeros cannot reach a sign bit.
+    compute them, and so are most rows' histogram counts.  The copy is
+    ``x + 0.0``, which turns -0.0 into +0.0, so the order in which the sort
+    leaves tied zeros cannot reach a sign bit.
     """
     block = np.atleast_2d(x)
     n = block.shape[1]
@@ -276,6 +297,7 @@ def _statistics(x: np.ndarray) -> np.ndarray:
     s.sort(axis=1)
     median = s[:, n // 2] if n % 2 else (s[:, n // 2 - 1] + s[:, n // 2]) / 2
     iqr = _quartile(s, 0.75) - _quartile(s, 0.25)
+    entropy = _hist_entropies(block, s, lo, hi)
     del s
     zcr = line = np.zeros(len(block))
     if n >= 2:
@@ -283,7 +305,7 @@ def _statistics(x: np.ndarray) -> np.ndarray:
         line = np.sum(np.abs(np.diff(block, axis=1)), axis=1)
     table = np.column_stack([
         mu, np.sqrt(m2), m2, skew, kurt, np.sqrt(np.mean(block * block, axis=1)), lo, hi,
-        hi - lo, median, iqr, mad, zcr, line, _hist_entropies(block, lo, hi)])
+        hi - lo, median, iqr, mad, zcr, line, entropy])
     return table if x.ndim == 2 else table[0]
 
 
@@ -594,7 +616,15 @@ def band_names(depth: int) -> list[str]:
 
 
 def _stack(records) -> np.ndarray:
-    return np.stack([np.asarray(r.samples, dtype=float) for r in records])
+    """The samples of equal-length records as the rows of one (R, n) array.
+
+    Each record's samples are asked for once (a WAV record reads its file),
+    and only one record's copy is held beside the block while it fills.
+    """
+    x = np.empty((len(records), records[0].n_samples))
+    for row, record in zip(x, records):
+        row[:] = record.samples
+    return x
 
 
 def _blocks(records) -> list[list[int]]:
@@ -604,7 +634,7 @@ def _blocks(records) -> list[list[int]]:
     """
     groups: dict[int, list[int]] = {}
     for i, record in enumerate(records):
-        groups.setdefault(record.samples.size, []).append(i)
+        groups.setdefault(record.n_samples, []).append(i)
     blocks = []
     for n, members in groups.items():
         rows = max(1, _STACK_BYTES // (8 * n))
@@ -618,8 +648,8 @@ def extract_level0(records, config: ExtractionConfig) -> FeatureBlock:
     ``records`` is one record or a sequence of records with one sample count
     and one sample rate; a single record gives a one-row block.
     """
-    records = [records] if hasattr(records, "samples") else list(records)
-    if len({(r.samples.size, float(r.sample_rate_hz)) for r in records}) != 1:
+    records = [records] if hasattr(records, "n_samples") else list(records)
+    if len({(r.n_samples, float(r.sample_rate_hz)) for r in records}) != 1:
         raise ConfigError("a block needs records of one length and one sample rate")
     x = _stack(records)
     rate = float(records[0].sample_rate_hz)
@@ -719,7 +749,7 @@ def choose_dataset_wavelet(records, config: ExtractionConfig) -> tuple[str, int]
     the configured depth clamped so the shortest record still supports it.
     Records are scored a block at a time.
     """
-    min_len = min(r.samples.size for r in records)
+    min_len = min(r.n_samples for r in records)
     usable = [w for w in config.wavelet_bank if dwt_max_depth(min_len, w) >= 1]
     if not usable:
         raise ConfigError(f"no wavelet in bank {config.wavelet_bank} fits {min_len}-sample records")

@@ -108,6 +108,19 @@ def write_wav(path: Path, samples_int, sampwidth=2, rate=44100, channels=1):
     return path
 
 
+def write_wav_dataset(root: Path, rows, rate=1000, name="manifest.json") -> Path:
+    """Write integer rows as 16-bit mono WAVs ``r<i>.wav`` with label ``i % 2``, plus a
+    manifest named ``name`` listing them; returns the manifest path."""
+    entries = []
+    for i, row in enumerate(rows):
+        write_wav(root / f"r{i}.wav", row, sampwidth=2, rate=rate)
+        entries.append({"path": f"r{i}.wav", "label": i % 2, "id": f"r{i}"})
+    manifest = root / name
+    manifest.write_text(json.dumps({"format": "wav", "class_names": ["a", "b"],
+                                    "records": entries}))
+    return manifest
+
+
 @pytest.fixture
 def planted_manifest(tmp_path):
     """Small planted-frequency dataset on disk, for CLI tests."""

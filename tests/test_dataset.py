@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import write_csv_dataset, write_wav
-from widefeat.dataset import (SignalRecord, fold_roles, load_dataset,
+from conftest import write_csv_dataset, write_wav, write_wav_dataset
+from widefeat import dataset
+from widefeat.dataset import (SignalRecord, WavRecord, fold_roles, load_dataset,
                               load_manifest, make_folds)
 from widefeat.errors import ConfigError, LoadError, ValidationError
 from widefeat.feature_bank import ExtractionConfig, build_feature_matrix
@@ -87,21 +89,26 @@ class TestLoadDataset:
         records = load_dataset(load_manifest(manifest_path))
         np.testing.assert_allclose(records[0].samples, (ints - offset) / denom, atol=0)
 
-    def test_wav_multichannel_takes_first(self, tmp_path):
-        left = np.arange(16) * 100
-        right = -np.arange(16) * 100
-        interleaved = np.empty(32, dtype=np.int64)
-        interleaved[0::2] = left
-        interleaved[1::2] = right
-        write_wav(tmp_path / "st.wav", interleaved, sampwidth=2, rate=100, channels=2)
-        write_wav(tmp_path / "z.wav", np.zeros(16, dtype=np.int64), sampwidth=2, rate=100)
+    @pytest.mark.parametrize("width,denom,offset", [(1, 128.0, 128), (2, 32768.0, 0),
+                                                    (3, 8388608.0, 0)])
+    @pytest.mark.parametrize("channels", [2, 3])
+    def test_wav_multichannel_takes_first(self, tmp_path, width, denom, offset, channels):
+        left = offset + np.arange(16) * 7 - 50
+        interleaved = np.empty((16, channels), dtype=np.int64)
+        interleaved[:, 0] = left
+        interleaved[:, 1:] = offset + 60 - np.arange(16)[:, None]
+        write_wav(tmp_path / "st.wav", interleaved.ravel(), sampwidth=width, rate=100,
+                  channels=channels)
+        write_wav(tmp_path / "z.wav", np.full(16, offset), sampwidth=width, rate=100)
         manifest_path = tmp_path / "m.json"
         manifest_path.write_text(json.dumps({
             "format": "wav", "class_names": ["a", "b"],
             "records": [{"path": "st.wav", "label": 0}, {"path": "z.wav", "label": 1}],
         }))
         records = load_dataset(load_manifest(manifest_path))
-        np.testing.assert_allclose(records[0].samples, left / 32768.0)
+        samples = records[0].samples
+        assert samples.tobytes() == ((left - offset) / denom).tobytes()
+        assert samples.flags.c_contiguous and not samples.flags.writeable
 
     def test_unreadable_file_names_path(self, tmp_path):
         bad = tmp_path / "bad.wav"
@@ -185,6 +192,59 @@ class TestLoadDataset:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match=message):
             load_manifest(path)
+
+
+class TestWavRecords:
+    """A loaded WAV record holds its path and reads its samples when asked."""
+
+    @staticmethod
+    def _dataset(tmp_path, count=6, n=300):
+        rng = np.random.default_rng(5)
+        return load_dataset(load_manifest(write_wav_dataset(
+            tmp_path, rng.integers(-20000, 20000, (count, n)))))
+
+    def test_loaded_records_hold_no_samples(self, tmp_path):
+        records = self._dataset(tmp_path)
+        assert all(isinstance(r, WavRecord) for r in records)
+        assert [r.n_samples for r in records] == [300] * 6
+        assert not any(isinstance(v, np.ndarray) for r in records for v in vars(r).values())
+
+    @pytest.mark.parametrize("bank, reads", [(None, 2), (("db4",), 1)])
+    def test_each_record_read_once_per_pass(self, tmp_path, monkeypatch, bank, reads):
+        # the wavelet vote reads each record once and extraction once more; a
+        # one-entry bank needs no vote
+        records = self._dataset(tmp_path)
+        calls = Counter()
+        read = dataset._read_wav
+
+        def counting(path):
+            calls[path.name] += 1
+            return read(path)
+
+        monkeypatch.setattr(dataset, "_read_wav", counting)
+        config = ExtractionConfig() if bank is None else ExtractionConfig(wavelet_bank=bank)
+        build_feature_matrix(records, config, max_level=2)
+        assert calls == {f"r{i}.wav": reads for i in range(6)}
+
+    def test_matrix_equals_in_memory_records(self, tmp_path):
+        records = self._dataset(tmp_path)
+        held = [SignalRecord(id=r.id, samples=r.samples, sample_rate_hz=r.sample_rate_hz,
+                             label=r.label) for r in records]
+        for config in (ExtractionConfig(), ExtractionConfig(wavelet_bank=("coif1",))):
+            lazy = build_feature_matrix(records, config, max_level=2)
+            assert lazy.values.tobytes() == build_feature_matrix(held, config, 2).values.tobytes()
+
+    def test_file_shortened_after_load_names_file(self, tmp_path):
+        records = self._dataset(tmp_path)
+        write_wav(tmp_path / "r3.wav", np.zeros(200, dtype=np.int64), sampwidth=2, rate=1000)
+        with pytest.raises(LoadError, match=r"r3\.wav.*200 samples.*300"):
+            build_feature_matrix(records, ExtractionConfig(), max_level=2)
+
+    def test_header_fields_validated(self):
+        with pytest.raises(ValidationError, match="needs >= 16"):
+            WavRecord(id="w", path=None, n_samples=15, sample_rate_hz=100.0, label=0)
+        with pytest.raises(ValidationError, match="sample rate"):
+            WavRecord(id="w", path=None, n_samples=64, sample_rate_hz=0.0, label=0)
 
 
 def _records(labels):

@@ -10,9 +10,10 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.signal import find_peaks
 
+from conftest import write_wav_dataset
 from oracles import catalog_reference, dwt_reference, entropy_reference
 from widefeat import feature_bank
-from widefeat.dataset import MIN_SAMPLES, SignalRecord
+from widefeat.dataset import MIN_SAMPLES, SignalRecord, load_dataset, load_manifest
 from widefeat.errors import ConfigError
 from widefeat.feature_bank import (PEAK_NAMES, STAT_NAMES, ExtractionConfig, _moments,
                                    _peaks_and_troughs, _previous_greater, _statistics,
@@ -177,6 +178,17 @@ def _catalog_fixtures():
 _FIXTURES = _catalog_fixtures()
 
 
+def _narrow_range_rows(rng, n):
+    """Rows whose histogram edges rise strictly but whose bins are subnormal or only
+    ulps wide.  In the subnormal range numpy's index estimate misses some values'
+    bins by more than one, so ``np.histogram`` does not count the values between
+    each bin's edges there."""
+    # (start, ulp, range in ulps): a subnormal range, 40 ulps at 1, 200 ulps at -3e5
+    return [start + ulp * np.concatenate(([0, top], rng.integers(0, top, n)))[:n]
+            for start, ulp, top in ((0.0, 5e-324, 39), (1.0, 2.0 ** -52, 40),
+                                    (-3e5, 2.0 ** -34, 200))]
+
+
 class TestStatistics:
     """``_statistics`` must equal the per-statistic forms bit for bit."""
 
@@ -217,7 +229,8 @@ class TestStatistics:
                 np.resize(np.linspace(0.0, 1.6, 17), n),
                 # ties, and zeros of both signs, which a sort may leave in either order
                 rng.integers(-1, 2, n).astype(float), np.full(n, -0.0),
-                np.resize([-0.0, 0.0, -1.0], n), np.resize([1.5, -0.0, 1.5, 0.0, -2.0], n)]
+                np.resize([-0.0, 0.0, -1.0], n), np.resize([1.5, -0.0, 1.5, 0.0, -2.0], n),
+                *_narrow_range_rows(rng, n)]
         if n == 300:
             rows += [_FIXTURES["below_var_floor"], _FIXTURES["above_var_floor"]]
         block = np.array(rows)
@@ -233,7 +246,8 @@ class TestStatistics:
         # np.histogram refuses a range a few ulps wide; each distinct value gets
         # its own bin instead, and the other rows keep their bits
         rng = np.random.default_rng(4)
-        normal = [np.resize(np.linspace(0.0, 1.6, 17), 64), rng.standard_normal(64)]
+        normal = [np.resize(np.linspace(0.0, 1.6, 17), 64), rng.standard_normal(64),
+                  *_narrow_range_rows(rng, 64)]
         ulp_wide = [np.resize([0.3, 0.1 * 3], 64),
                     # a range so small that linspace's step underflows to zero
                     1e-310 + 5e-324 * rng.integers(0, 3, 64)]
@@ -242,7 +256,7 @@ class TestStatistics:
             reference = catalog_reference(row)
             assert [np.float64(v).tobytes() for v in got] == \
                 [np.float64(reference[stat]).tobytes() for stat in STAT_NAMES]
-        for row, got in zip(ulp_wide, table[2:]):
+        for row, got in zip(ulp_wide, table[len(normal):]):
             counts = np.unique(row, return_counts=True)[1]
             assert len(counts) >= 2
             np.testing.assert_allclose(got[STAT_NAMES.index("hist_entropy")],
@@ -438,6 +452,26 @@ class TestLevel2:
         assert abs(ratio - 2 * np.pi * f / rate) < 1e-2
 
 
+def _least_peaks(run, counts, repeats=3):
+    """The least traced peak of ``run(count)`` over ``repeats`` rounds, per count, and
+    the last result.
+
+    The first rounds fill numpy's caches and the interpreter's free lists, which
+    grow during a run and would count against whichever count runs first; the
+    least peak is the run's steady state.
+    """
+    peaks = dict.fromkeys(counts, float("inf"))
+    for _ in range(repeats):
+        for count in counts:
+            tracemalloc.start()
+            try:
+                result = run(count)
+                peaks[count] = min(peaks[count], tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return peaks, result
+
+
 class TestBuildMatrix:
     def test_level_gating(self):
         rng = np.random.default_rng(0)
@@ -572,19 +606,22 @@ class TestBuildMatrix:
         rng = np.random.default_rng(11)
         records = [record_from(rng.standard_normal(5000), rid=f"r{i}", label=i % 2)
                    for i in range(128)]
-        # a first pass fills numpy's caches and the interpreter's free lists,
-        # which would otherwise grow during the larger run and count against it
-        build_feature_matrix(records, ExtractionConfig(), max_level=2)
-        peaks = {}
-        for count in (32, 128):
-            tracemalloc.start()
-            try:
-                matrix = build_feature_matrix(records[:count], ExtractionConfig(), max_level=2)
-                peaks[count] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks, matrix = _least_peaks(
+            lambda count: build_feature_matrix(records[:count], ExtractionConfig(), max_level=2),
+            (32, 128))
         assert peaks[128] - peaks[32] <= matrix.values.nbytes
         assert peaks[128] <= 4 << 20
+
+    def test_memory_does_not_grow_with_wav_samples(self, tmp_path):
+        # a loaded WAV record holds no samples, so 4x the records of a WAV
+        # dataset may add no more than the larger output matrix to the peak
+        ints = np.random.default_rng(15).integers(-20000, 20000, (128, 5000))
+        manifests = {count: load_manifest(write_wav_dataset(tmp_path, ints[:count],
+                                                            name=f"m{count}.json"))
+                     for count in (32, 128)}
+        peaks, matrix = _least_peaks(lambda count: build_feature_matrix(
+            load_dataset(manifests[count]), ExtractionConfig(), max_level=2), (32, 128))
+        assert peaks[128] - peaks[32] <= matrix.values.nbytes
 
     def test_empty_records_rejected(self):
         with pytest.raises(ConfigError, match="zero records"):
