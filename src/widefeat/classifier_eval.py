@@ -122,16 +122,20 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
                          config: EvalConfig) -> list[FoldOutcome]:
     """Train and score an SVM on the given feature columns for every fold.
 
-    The kernel/C pair with the best evaluation-row metric wins each fold, and
-    its model is kept on the outcome.  Test rows are never read: the
-    outcomes carry no test report until :func:`score_test_rows` adds one.
-    Folds whose training rows hold a single class are marked failed.
+    The columns are fit in ascending id order, so the outcomes do not depend
+    on the order the distinct ids are given in.  The kernel/C pair with the
+    best evaluation-row metric wins each fold, and its model is kept on the
+    outcome.  Test rows are never read: the outcomes carry no test report
+    until :func:`score_test_rows` adds one.  Folds whose training rows hold a
+    single class are marked failed.
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
-    feature_ids = tuple(int(i) for i in feature_ids)
+    feature_ids = tuple(sorted(int(i) for i in feature_ids))
     if not feature_ids:
         raise ValueError("feature ids must not be empty")
+    if len(set(feature_ids)) < len(feature_ids):
+        raise ValueError(f"feature ids {feature_ids} repeat a column")
     if any(not 0 <= i < values.shape[1] for i in feature_ids):
         raise ValueError(f"feature ids {feature_ids} outside matrix columns")
     return [_fit_fold(plan, fold, lambda idx: values[np.ix_(idx, feature_ids)], labels,

@@ -5,12 +5,12 @@ run once per fold, on that fold's train+eval rows, up to the largest k in the
 schedule.  Each k in the schedule then takes the first k picks of those runs
 (a greedy selector updates its sums only after a pick, so the prefix equals a
 run stopped at k); their union forms a candidate set, and candidates are
-scored on evaluation rows across all folds; each distinct id tuple is
-evaluated once per run, however many steps propose it.  The first candidate
-meeting the target metric in every fold stops the loop, so cheap features win
-whenever they suffice.  Test rows stay untouched until Fe1 and Fe2 are
-frozen; their test metrics then come from the fold models kept by the
-evaluation pass, with no refit.
+scored on evaluation rows across all folds; each distinct id set is
+evaluated once per run, however many steps or refinement subsets propose
+it.  The first candidate meeting the target metric in every fold stops the
+loop, so cheap features win whenever they suffice.  Test rows stay untouched
+until Fe1 and Fe2 are frozen; their test metrics then come from the fold
+models kept by the evaluation pass, with no refit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, score_test_rows
-from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, binary_labels, fold_roles, make_folds
+from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, binary_labels, make_folds
 from .errors import (ConfigError, RunError, flat_dict, json_value, known_keys, list_setting,
                      real_setting, require_int, store, write_json)
 from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureMatrix, build_feature_matrix,
@@ -187,25 +187,26 @@ def _eval_metrics(outcomes: list[FoldOutcome], metric: str) -> tuple[float | Non
     return tuple(None if o.failed else o.eval_report.value(metric) for o in outcomes)
 
 
-def exhaustive_refine(matrix, labels, plan: FoldPlan, base_set, c: int,
-                      eval_config: EvalConfig) -> RefinementResult:
+def exhaustive_refine(evaluate, base_set, c: int, metric: str) -> RefinementResult:
     """Score every non-empty subset of ``base_set`` on evaluation rows.
 
-    The winner maximizes the minimum fold metric, then the mean; remaining
+    ``evaluate(ids)`` gives the fold outcomes of a subset, its ids ascending.
+    The winner maximizes the minimum fold ``metric``, then the mean; remaining
     ties prefer smaller subsets, then lexicographically smaller id tuples.
     ``c`` caps the enumerable set size (2^c - 1 evaluations).
     """
     base = tuple(sorted(int(i) for i in base_set))
     if not base:
         raise ValueError("base_set must not be empty")
+    if len(set(base)) < len(base):
+        raise ValueError(f"base_set ids {base} repeat a feature")
     if not len(base) <= c <= 20:
         raise ValueError(f"need |base_set| <= c <= 20, got |base|={len(base)}, c={c}")
     evaluations = []
     for mask in range(1, 1 << len(base)):
         ids = tuple(base[i] for i in range(len(base)) if mask >> i & 1)
-        outcomes = evaluate_feature_set(matrix, labels, ids, plan, eval_config)
         cand = CandidateEval(ids=ids, source_folds=[],
-                             eval_metrics=_eval_metrics(outcomes, eval_config.metric))
+                             eval_metrics=_eval_metrics(evaluate(ids), metric))
         evaluations.append({"ids": list(ids), "min_metric": cand.min_eval,
                             "mean_metric": cand.mean_eval})
     best = min(evaluations, key=lambda e: (-e["min_metric"], -e["mean_metric"],
@@ -228,12 +229,17 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
     plan = make_folds(records, config.p, config.seed)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
 
-    fold_rows = []  # selection sees each fold's train+eval rows only
-    for fold in range(plan.p):
-        train_idx, eval_idx, _ = fold_roles(plan, fold)
-        fold_rows.append(np.sort(np.concatenate([train_idx, eval_idx])))
+    # selection sees each fold's train+eval rows only
+    fold_rows = [np.flatnonzero(plan.assignments != fold) for fold in range(plan.p)]
 
-    outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # per exact ids tuple
+    outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # per id set, ids ascending
+
+    def evaluate(ids) -> list[FoldOutcome]:
+        key = tuple(sorted(ids))
+        if key not in outcomes:
+            outcomes[key] = evaluate_feature_set(matrix, labels, key, plan, config.evaluation)
+        return outcomes[key]
+
     trace: list[TraceStep] = []
     target_met = False
     level_reached = config.max_level_cap
@@ -254,16 +260,13 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
                 selections.append(FoldSelection(
                     fold=fold, mrmr=x, mrms=y, union=union_recommend(x, y, k)))
 
-            by_set: dict[frozenset, CandidateEval] = {}  # the first union of each id set
+            by_set: dict[tuple[int, ...], CandidateEval] = {}  # the first union of each id set
             for sel in selections:
-                by_set.setdefault(frozenset(sel.union), CandidateEval(
+                by_set.setdefault(tuple(sorted(sel.union)), CandidateEval(
                     ids=sel.union, source_folds=[])).source_folds.append(sel.fold)
             candidates = list(by_set.values())
             for cand in candidates:
-                if cand.ids not in outcomes:
-                    outcomes[cand.ids] = evaluate_feature_set(matrix, labels, cand.ids, plan,
-                                                              config.evaluation)
-                cand.eval_metrics = _eval_metrics(outcomes[cand.ids], config.metric)
+                cand.eval_metrics = _eval_metrics(evaluate(cand.ids), config.metric)
                 cand.passed = all(v is not None and v >= config.tau for v in cand.eval_metrics)
 
             step = TraceStep(level=level, k=k, selections=selections, candidates=candidates)
@@ -301,8 +304,7 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
     refined = None
     if config.c > 0:
         if len(fe2.ids) <= config.c:
-            refined = exhaustive_refine(matrix, labels, plan, fe2.ids, config.c,
-                                        config.evaluation)
+            refined = exhaustive_refine(evaluate, fe2.ids, config.c, config.metric)
         else:
             refined = RefinementResult(
                 base_ids=fe2.ids, chosen_ids=fe2.ids, evaluations=[], skipped=True,
@@ -310,7 +312,7 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
 
     for fe in (fe1, fe2):
         fe.test_reports = [o.test_report for o in score_test_rows(
-            outcomes[fe.ids], matrix, labels, plan)]
+            evaluate(fe.ids), matrix, labels, plan)]
         vals = [r.value(config.metric) for r in fe.test_reports if r is not None]
         fe.mean_test_metric = float(np.mean(vals)) if vals else None
 

@@ -130,10 +130,33 @@ class SelectionResult:
         }
 
 
-def _greedy_argmax(scores: np.ndarray, available: np.ndarray) -> int:
-    # lowest id wins ties because argmax scans in index order
-    masked = np.where(available, scores, -np.inf)
-    return int(np.argmax(masked))
+def _greedy(method: str, k: int, relevance: np.ndarray, combine, gains) -> SelectionResult:
+    """The forward search both selectors share.
+
+    Each step scores every feature by ``combine(pairwise)``, where pairwise is
+    the mean of the ``gains`` terms of the picks so far (0 before the first),
+    and picks the best available feature.  ``gains(pick, rest)`` gives a new
+    pick's terms for the features ``rest`` that are still available.
+    """
+    n_features = relevance.size
+    available = np.ones(n_features, dtype=bool)
+    total = np.zeros(n_features)
+    ranked: list[int] = []
+    steps: list[SelectionStep] = []
+    for step in range(k):
+        pairwise = total / step if step else np.zeros(n_features)
+        scores = combine(pairwise)
+        # lowest id wins ties because argmax scans in index order
+        pick = int(np.argmax(np.where(available, scores, -np.inf)))
+        ranked.append(pick)
+        available[pick] = False
+        steps.append(SelectionStep(feature_id=pick, relevance=float(relevance[pick]),
+                                   pairwise=float(pairwise[pick]), score=float(scores[pick])))
+        if step < k - 1:
+            rest = np.flatnonzero(available)
+            total[rest] += gains(pick, rest)
+    return SelectionResult(method=method, k=k, ranked_ids=tuple(ranked),
+                           step_scores=tuple(steps))
 
 
 def mrmr_select(values, labels, k: int, objective: str = "MID") -> SelectionResult:
@@ -147,28 +170,9 @@ def mrmr_select(values, labels, k: int, objective: str = "MID") -> SelectionResu
         raise ValueError(f"k={k} out of range for {n_features} features")
     cache = RelevanceCache.build(values, labels)
     v = cache.f_stats
-    available = np.ones(n_features, dtype=bool)
-    corr_sum = np.zeros(n_features)
-    ranked: list[int] = []
-    steps: list[SelectionStep] = []
-    for step in range(k):
-        if step == 0:
-            w = np.zeros(n_features)
-        else:
-            w = corr_sum / len(ranked)
-        if objective == "MID":
-            scores = v - w
-        else:
-            scores = v / (w + _MIQ_EPS)
-        pick = _greedy_argmax(scores, available)
-        ranked.append(pick)
-        available[pick] = False
-        steps.append(SelectionStep(feature_id=pick, relevance=float(v[pick]),
-                                   pairwise=float(w[pick]), score=float(scores[pick])))
-        if step < k - 1:
-            corr_sum += cache.correlations_with(pick)
-    return SelectionResult(method=f"mrmr_{objective.lower()}", k=k,
-                           ranked_ids=tuple(ranked), step_scores=tuple(steps))
+    combine = (lambda w: v - w) if objective == "MID" else (lambda w: v / (w + _MIQ_EPS))
+    return _greedy(f"mrmr_{objective.lower()}", k, v, combine,
+                   lambda pick, rest: cache.correlations_with(pick)[rest])
 
 
 def _minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -291,27 +295,8 @@ def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
         raise ValueError(f"beta must be >= 0, got {beta}")
     gaps = _CrossClassGaps(values, labels)
     singles = gaps.dependencies(np.arange(n_features))
-
-    available = np.ones(n_features, dtype=bool)
-    gain_sum = np.zeros(n_features)
-    ranked: list[int] = []
-    steps: list[SelectionStep] = []
-    for step in range(k):
-        if step == 0:
-            j_sig = np.zeros(n_features)
-        else:
-            j_sig = gain_sum / len(ranked)
-        scores = singles + beta * j_sig
-        pick = _greedy_argmax(scores, available)
-        ranked.append(pick)
-        available[pick] = False
-        steps.append(SelectionStep(feature_id=pick, relevance=float(singles[pick]),
-                                   pairwise=float(j_sig[pick]), score=float(scores[pick])))
-        if step < k - 1:
-            rest = np.flatnonzero(available)
-            gain_sum[rest] += gaps.dependencies(rest, (pick,)) - singles[pick]
-    return SelectionResult(method="mrms", k=k, ranked_ids=tuple(ranked),
-                           step_scores=tuple(steps))
+    return _greedy("mrms", k, singles, lambda j_sig: singles + beta * j_sig,
+                   lambda pick, rest: gaps.dependencies(rest, (pick,)) - singles[pick])
 
 
 def union_recommend(x: SelectionResult, y: SelectionResult, k: int) -> tuple[int, ...]:

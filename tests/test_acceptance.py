@@ -13,7 +13,7 @@ import pytest
 import oracles
 from conftest import amplitude_shape_records, score_garbled_test_rows, sine_records
 from widefeat import recommender
-from widefeat.classifier_eval import EvalConfig, pca_baseline
+from widefeat.classifier_eval import EvalConfig, evaluate_feature_set, pca_baseline
 from widefeat.dataset import SignalRecord, make_folds
 from widefeat.feature_bank import build_feature_matrix
 from widefeat.metrics import compute_metrics
@@ -191,11 +191,14 @@ def test_exhaustive_refinement():
         holders = [SignalRecord(id=f"r{i}", samples=np.arange(16.0), sample_rate_hz=1.0,
                                 label=int(l)) for i, l in enumerate(labels)]
         plan = make_folds(holders, 5, 19)
-        result = exhaustive_refine(values, labels, plan, (0, 1), c=5,
-                                   eval_config=FAST_EVAL)
+        result = exhaustive_refine(
+            lambda ids: evaluate_feature_set(values, labels, ids, plan, FAST_EVAL),
+            (0, 1), c=5, metric="accuracy")
         assert result.chosen_ids == (0,)
-        count = exhaustive_refine(values, labels, plan, (0, 1, 2, 3), c=4,
-                                  eval_config=EvalConfig(kernels=("linear",), c_grid=(1.0,)))
+        linear = EvalConfig(kernels=("linear",), c_grid=(1.0,))
+        count = exhaustive_refine(
+            lambda ids: evaluate_feature_set(values, labels, ids, plan, linear),
+            (0, 1, 2, 3), c=4, metric="accuracy")
         assert len(count.evaluations) == 2 ** 4 - 1
 
 

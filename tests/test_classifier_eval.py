@@ -138,12 +138,29 @@ class TestEvaluateFeatureSet:
         assert winners(a) == winners(b)
 
     @pytest.mark.parametrize("ids, message", [((99,), "outside matrix columns"),
-                                              ((), "must not be empty")])
+                                              ((), "must not be empty"),
+                                              ((0, 0), "repeat a column")])
     def test_invalid_feature_ids(self, ids, message):
         values, labels = planted_matrix()
         plan = make_folds(records_for(labels), p=5, seed=0)
         with pytest.raises(ValueError, match=message):
             evaluate_feature_set(values, labels, ids, plan, EvalConfig())
+
+    def test_outcome_does_not_depend_on_id_order(self):
+        values, labels = planted_matrix(gap=1.5, seed=5)
+        plan = make_folds(records_for(labels), p=5, seed=4)
+        config = EvalConfig()
+        ascending = evaluate_feature_set(values, labels, (0, 2, 4), plan, config)
+        assert all(o.feature_ids == (0, 2, 4) for o in ascending)
+        for ids in ((4, 0, 2), (2, 4, 0)):
+            permuted = evaluate_feature_set(values, labels, ids, plan, config)
+            assert permuted == ascending  # equal eval reports and ascending feature_ids
+            assert winners(permuted) == winners(ascending)
+            for a, b in zip(ascending, permuted):
+                assert a.model.alphas.tobytes() == b.model.alphas.tobytes()
+                assert a.model.bias == b.model.bias
+            assert (score_test_rows(permuted, values, labels, plan)
+                    == score_test_rows(ascending, values, labels, plan))
 
     @pytest.mark.parametrize("garbage", [np.nan, 1e300])
     def test_test_rows_never_read(self, garbage):

@@ -352,7 +352,8 @@ class TestTraceAndSets:
         names = [name for name, _ in calls]
         assert names.count("svm_train") == names.count("evaluate_feature_set") * p * fits_per_fold
         assert rec.refined is not None and not rec.refined.skipped
-        expected = [values[np.ix_(roles[fold][2], fe.ids)]
+        # a set's models take its columns in ascending id order
+        expected = [values[np.ix_(roles[fold][2], sorted(fe.ids))]
                     for fe in (rec.fe1, rec.fe2) for fold in range(p)]
         assert len(test_predictions) == len(expected)
         for got, want in zip(test_predictions, expected):
@@ -371,7 +372,7 @@ class TestTraceAndSets:
 
 
 class TestEvaluationOncePerSet:
-    def test_each_ids_tuple_evaluated_once(self, monkeypatch):
+    def test_each_id_set_evaluated_once_in_ascending_order(self, monkeypatch):
         evaluated, fits = [], []
 
         def counted_evaluate(matrix, labels, ids, *args, **kwargs):
@@ -384,11 +385,17 @@ class TestEvaluationOncePerSet:
 
         monkeypatch.setattr(recommender_module, "evaluate_feature_set", counted_evaluate)
         monkeypatch.setattr(classifier_eval_module, "svm_train", counted_train)
-        config = fast_config(tau=1.01, k_schedule=(4, 16))
-        rec = recommend(energy_split_records(n_records=30, n=128, seed=17), config)
+        # tau above 1 runs every level, and c=4 refines the 3-feature Fe2
+        config = fast_config(tau=1.01, k_schedule=(3, 4), c=4)
+        rec = recommend(sine_records(n_records=30, n=128, seed=3), config)
         proposed = [c.ids for s in rec.trace for c in s.candidates]
-        assert len(set(proposed)) < len(proposed)  # fixture sanity: a set is proposed twice
-        assert sorted(evaluated) == sorted(set(proposed))
+        # fixture sanity: a set is proposed twice, and Fe2's union order is not ascending
+        assert len(set(proposed)) < len(proposed)
+        assert list(rec.fe2.ids) != sorted(rec.fe2.ids)
+        assert not rec.refined.skipped
+        subsets = [tuple(e["ids"]) for e in rec.refined.evaluations]
+        assert all(list(ids) == sorted(ids) for ids in evaluated)
+        assert sorted(evaluated) == sorted({tuple(sorted(ids)) for ids in proposed + subsets})
         grid = len(FAST_EVAL.kernels) * len(FAST_EVAL.c_grid)
         assert len(fits) == config.p * grid * len(evaluated)
 
@@ -409,12 +416,13 @@ class TestEvaluationOncePerSet:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
         blocks = re.findall(r"```python\n(.*?)```", library, re.S)
-        assert len(blocks) == 2
+        assert len(blocks) == 3
         namespace = {}
         for block in blocks:
             exec(block, namespace)
         assert "Fe2" in capsys.readouterr().out
         assert [o.test_report for o in namespace["tested"]] == namespace["rec"].fe2.test_reports
+        assert namespace["refined"] == namespace["rec"].refined
 
 
 class TestSelectionOncePerFold:
@@ -459,10 +467,16 @@ def refinement_fixture(seed=19):
     return np.column_stack([info, noise]), labels, plan
 
 
+def refine(values, labels, plan, base_set, c, config=FAST_EVAL):
+    """``exhaustive_refine`` with each subset scored by ``evaluate_feature_set``."""
+    return exhaustive_refine(lambda ids: evaluate_feature_set(values, labels, ids, plan, config),
+                             base_set, c, config.metric)
+
+
 class TestRefinement:
     def test_single_feature_base(self):
         values, labels, plan = refinement_fixture()
-        result = exhaustive_refine(values, labels, plan, (0,), c=3, eval_config=FAST_EVAL)
+        result = refine(values, labels, plan, (0,), c=3)
         assert result.chosen_ids == (0,)
         assert len(result.evaluations) == 1
 
@@ -473,21 +487,27 @@ class TestRefinement:
                               for o in evaluate_feature_set(values, labels, ids, plan, ec)]
                              for ids in ((0, 1), (0,)))
         assert min(with_noise) < min(alone)  # fixture sanity: noise hurts a fold
-        result = exhaustive_refine(values, labels, plan, (0, 1), c=5, eval_config=ec)
+        result = refine(values, labels, plan, (0, 1), c=5, config=ec)
         assert result.chosen_ids == (0,)
 
     def test_enumeration_count(self):
         rng = np.random.default_rng(41)
         values, labels, plan = refinement_fixture()
         values = np.column_stack([values, rng.standard_normal((40, 2))])
-        result = exhaustive_refine(values, labels, plan, (0, 1, 2, 3), c=4,
-                                   eval_config=EvalConfig(kernels=("linear",), c_grid=(1.0,)))
+        result = refine(values, labels, plan, (0, 1, 2, 3), c=4,
+                        config=EvalConfig(kernels=("linear",), c_grid=(1.0,)))
         assert len(result.evaluations) == 15
 
     def test_base_larger_than_c_rejected(self):
         values, labels, plan = refinement_fixture()
         with pytest.raises(ValueError, match="c <= 20"):
-            exhaustive_refine(values, labels, plan, (0, 1), c=1, eval_config=FAST_EVAL)
+            refine(values, labels, plan, (0, 1), c=1)
+
+    def test_repeated_ids_rejected_before_any_evaluation(self):
+        evaluated = []
+        with pytest.raises(ValueError, match="repeat a feature"):
+            exhaustive_refine(evaluated.append, (0, 1, 0), c=3, metric="accuracy")
+        assert evaluated == []
 
     def test_recommend_skips_refinement_when_base_exceeds_c(self):
         rec = recommend(energy_split_records(seed=43), fast_config(c=2, k_schedule=(5,)))
