@@ -3,6 +3,7 @@
 For each fold rotation the classifier is fit on the train rows only; the
 kernel and C are picked by the evaluation rows; the test rows contribute
 nothing to any choice and are scored only when test metrics are requested.
+A fold standardizes its eval rows once and scores every fit on them by confusion counts.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from .dataset import FoldPlan, fold_roles
 from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
                      real_setting, require_int, store)
-from .metrics import METRIC_NAMES, MetricReport, compute_metrics
-from .svm import KERNEL_KINDS, KernelSpec, SvmModel, fold_problem, svm_predict, svm_train
+from .metrics import METRIC_NAMES, MetricReport, compute_metrics, confusion_metrics
+from .svm import KERNEL_KINDS, KernelSpec, SvmModel, _decision, fold_problem, svm_predict, svm_train
 
 
 @dataclass(frozen=True)
@@ -85,29 +86,29 @@ def _fit_fold(plan: FoldPlan, fold: int, rows, labels, config: EvalConfig,
               specs: list[KernelSpec], feature_ids: tuple[int, ...]) -> FoldOutcome:
     """Fit every kernel/C pair on the fold's train rows; the best evaluation-row
     metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
-    The fits share one :class:`~widefeat.svm.FoldProblem`, which picks the
-    positive label, so the rows are standardized once and each kernel's Gram is
-    built once for the whole C grid."""
+    Once per fold: the shared :class:`~widefeat.svm.FoldProblem` (which picks the
+    positive label), the eval rows standardized by its mean and std with their
+    positive mask, and each kernel's spec and Gram.  Per fit: the SMO solve, the
+    decision values on those rows and the confusion counts."""
     train_idx, eval_idx, _ = fold_roles(plan, fold)
     x_train, y_train = rows(train_idx), labels[train_idx]
     x_eval, y_eval = rows(eval_idx), labels[eval_idx]
-    best = None
+    best = (-np.inf, None, None)  # (score, model, report)
     try:
         problem = fold_problem(x_train, y_train, config.class_weight_mode, config.positive_class)
-        for spec in specs:
+        xs_eval, actual = (x_eval - problem.mean) / problem.std, y_eval == problem.positive_label
+        for spec in (s.resolve(problem.xs.shape[1]) for s in specs):
             for c in config.c_grid:
                 model = svm_train(x_train, y_train, kernel=spec, c=c,
                                   class_weights=config.class_weight_mode, problem=problem)
-                report = compute_metrics(svm_predict(model, x_eval), y_eval, model.positive_label)
+                report = confusion_metrics(_decision(model, xs_eval) >= 0.0, actual)
                 score = report.value(config.metric)
-                if best is None or score > best[0]:
+                if score > best[0]:
                     best = (score, model, report)
     except TrainingError:
-        return FoldOutcome(fold=fold, eval_report=None, test_report=None,
-                           feature_ids=feature_ids)
-    _, model, report = best
-    return FoldOutcome(fold=fold, eval_report=report, test_report=None,
-                       feature_ids=feature_ids, model=model)
+        best = (None, None, None)
+    return FoldOutcome(fold=fold, eval_report=best[2], test_report=None,
+                       feature_ids=feature_ids, model=best[1])
 
 
 def _with_test_report(outcome: FoldOutcome, test_rows, test_labels) -> FoldOutcome:

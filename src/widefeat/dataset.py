@@ -187,14 +187,18 @@ def _read_csv_column(path: Path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _wav_frames(path: Path) -> tuple[bytes, int, int, float]:
-    """The sample bytes of a PCM WAV file, its sample width, channel count and rate."""
+def _wav_frames(path: Path, count_only: bool = False) -> tuple[bytes, int, int, int, float]:
+    """A PCM WAV file's sample bytes, frame count, sample width, channel count and rate.
+    With ``count_only`` the bytes are empty when the last frame is whole: then all are."""
     try:
         with wave.open(str(path), "rb") as wav:
-            width = wav.getsampwidth()
-            channels = wav.getnchannels()
-            rate = wav.getframerate()
-            frames = wav.readframes(wav.getnframes())
+            width, channels, rate = wav.getsampwidth(), wav.getnchannels(), wav.getframerate()
+            n, whole = wav.getnframes(), False
+            if count_only and n:
+                wav.setpos(n - 1)
+                whole = len(wav.readframes(1)) == width * channels
+                wav.setpos(0)
+            frames = b"" if whole else wav.readframes(n)
     except (OSError, wave.Error, EOFError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     if len(frames) % (width * channels):
@@ -202,12 +206,12 @@ def _wav_frames(path: Path) -> tuple[bytes, int, int, float]:
                         f"of {width * channels}-byte frames; the file is truncated")
     if width not in (1, 2, 3):
         raise LoadError(f"{path}: unsupported PCM sample width {width * 8} bits")
-    return frames, width, channels, float(rate)
+    return frames, n if whole else len(frames) // (width * channels), width, channels, float(rate)
 
 
 def _read_wav(path: Path) -> np.ndarray:
     """Channel 0 of a PCM WAV file as a contiguous float64 array in [-1, 1]."""
-    frames, width, channels, _ = _wav_frames(path)
+    frames, _, width, channels, _ = _wav_frames(path)
     if width == 1:
         data = np.frombuffer(frames, dtype=np.uint8)[::channels].astype(np.float64)
         samples = (data - 128.0) / 128.0
@@ -226,8 +230,8 @@ def load_dataset(manifest: DatasetManifest) -> list[SignalRecord | WavRecord]:
     """Load every manifest entry into a validated record.
 
     A CSV column becomes a :class:`SignalRecord` that holds its samples.  A
-    WAV file becomes a :class:`WavRecord`: the file is read once here to check
-    it, and again each time its samples are asked for.
+    WAV file becomes a :class:`WavRecord`: its header and last frame are read
+    here, and the whole file each time its samples are asked for.
     """
     manifest.validate()
     records = []
@@ -237,9 +241,8 @@ def load_dataset(manifest: DatasetManifest) -> list[SignalRecord | WavRecord]:
                                         sample_rate_hz=manifest.sample_rate_hz,
                                         label=entry.label))
         else:
-            frames, width, channels, rate = _wav_frames(entry.path)
-            records.append(WavRecord(id=entry.id, path=entry.path,
-                                     n_samples=len(frames) // (width * channels),
+            _, n, _, _, rate = _wav_frames(entry.path, count_only=True)
+            records.append(WavRecord(id=entry.id, path=entry.path, n_samples=n,
                                      sample_rate_hz=rate, label=entry.label))
     return records
 

@@ -41,18 +41,20 @@ def _safe_div(num: float, den: float) -> float:
 
 def compute_metrics(predicted, actual, positive_class) -> MetricReport:
     """Standard confusion-matrix metrics; undefined ratios report as 0."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != actual.shape or predicted.size == 0:
+    return confusion_metrics(np.asarray(predicted) == positive_class,
+                             np.asarray(actual) == positive_class)
+
+
+def confusion_metrics(predicted_pos: np.ndarray, actual_pos: np.ndarray) -> MetricReport:
+    """:func:`compute_metrics` from boolean masks of positive predictions and labels."""
+    if predicted_pos.shape != actual_pos.shape or predicted_pos.size == 0:
         raise ValueError(
             f"predicted and actual must be equal-length and non-empty, "
-            f"got {predicted.shape} vs {actual.shape}")
-    pred_pos = predicted == positive_class
-    true_pos = actual == positive_class
-    tp = int(np.count_nonzero(pred_pos & true_pos))
-    tn = int(np.count_nonzero(~pred_pos & ~true_pos))
-    fp = int(np.count_nonzero(pred_pos & ~true_pos))
-    fn = int(np.count_nonzero(~pred_pos & true_pos))
+            f"got {predicted_pos.shape} vs {actual_pos.shape}")
+    tp = int(np.count_nonzero(predicted_pos & actual_pos))
+    fp = int(np.count_nonzero(predicted_pos)) - tp
+    fn = int(np.count_nonzero(actual_pos)) - tp
+    tn = predicted_pos.size - tp - fp - fn
     sensitivity = _safe_div(tp, tp + fn)
     precision = _safe_div(tp, tp + fp)
     return MetricReport(

@@ -9,11 +9,11 @@ when the KKT gap -- the largest violation by any pair -- falls below ``_TOL`` = 
 Per-sample box constraints carry the class weights, so imbalanced data can
 penalize minority errors harder.
 
-The checks, the standardization and the linear Gram ``Xs Xsᵀ`` depend only
-on the training rows, so they are computed once per fold and feature set: a
-:class:`FoldProblem` holds them, and the kernel/C grid shares it.  The rbf
-and poly Grams are derived from the linear one with :func:`kernel_matrix`'s
-expressions, so they stay bit-identical to it.
+The checks, the standardization, the linear Gram ``Xs Xsᵀ`` and the solver's
+label set-up depend only on the training rows: a :class:`FoldProblem` holds
+them once per fold and feature set for the whole kernel/C grid, and a fit
+builds only its box, its alphas and the gradient.  The rbf and poly Grams are
+derived from the linear one with :func:`kernel_matrix`'s expressions, bit for bit.
 """
 
 from __future__ import annotations
@@ -113,6 +113,10 @@ class FoldProblem:
     unit_box: np.ndarray  # per-row class weight; a fit's box is C * unit_box
     linear: np.ndarray
     sq_norms: np.ndarray
+    signs: list[float]  # _smo's label set-up: y and y > 0 as lists, and the initial masks
+    is_pos: list[bool]
+    up: np.ndarray
+    low: np.ndarray
     _last: list = field(default_factory=list, init=False, repr=False)  # [(spec, Gram)]
 
     def gram(self, spec: KernelSpec) -> np.ndarray:
@@ -169,12 +173,15 @@ def fold_problem(rows, labels, class_weights: str = "balanced",
     std = np.where(std > 0.0, std, 1.0)
     xs = (x - mean) / std
     is_pos = labels == positive_label
+    y = np.where(is_pos, 1.0, -1.0)
     return FoldProblem(
         rows=x, labels=labels, class_weight_mode=class_weights, class_weights=weights,
         negative_label=negative_label, positive_label=positive_label,
-        mean=mean, std=std, xs=xs, y=np.where(is_pos, 1.0, -1.0),
+        mean=mean, std=std, xs=xs, y=y,
         unit_box=np.where(is_pos, weights[positive_label], weights[negative_label]),
-        linear=xs @ xs.T, sq_norms=_sq_norms(xs))
+        linear=xs @ xs.T, sq_norms=_sq_norms(xs),
+        signs=y.tolist(), is_pos=is_pos.tolist(),
+        up=np.where(is_pos, 0.0, -np.inf), low=np.where(is_pos, -np.inf, 0.0))
 
 
 def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
@@ -200,7 +207,7 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         raise ValueError(f"C must be positive, got {c}")
     spec = kernel.resolve(problem.xs.shape[1])
     box = c * problem.unit_box
-    alphas, bias, iterations = _smo(problem.gram(spec), problem.y, box)
+    alphas, bias, iterations = _smo(problem, problem.gram(spec), box)
     keep = alphas > 1e-10
     return SvmModel(
         kernel=spec, c=c, class_weights=dict(problem.class_weights),
@@ -211,19 +218,16 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         iterations=iterations)
 
 
-def _smo(gram: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Solve the dual for ``gram``, labels ``y`` (+/-1) and per-row upper bounds
+def _smo(problem: FoldProblem, gram: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Solve the dual for ``gram``, ``problem``'s labels and per-row upper bounds
     ``box``; return the alphas, the bias and the number of pair updates."""
-    diag = np.diag(gram)
-    pos = (y > 0.0).tolist()
-    sign_of = y.tolist()
+    y, pos, sign_of, diag = problem.y, problem.is_pos, problem.signs, gram.diagonal()
     box_at = box.tolist()
     alphas = [0.0] * y.size  # only rows i and j are read or written in a step
     yg = y.copy()  # -y * gradient of the dual objective; the gradient starts at -1
     # additive masks, 0 where a row can move that way and -inf where it cannot:
     # i comes from the rows whose y * alpha can go up, j from those where it can go down
-    up = np.where(y > 0.0, 0.0, -np.inf)
-    low = np.where(y > 0.0, -np.inf, 0.0)
+    up, low = problem.up.copy(), problem.low.copy()
     score, curv, row = np.empty(y.size), np.empty(y.size), np.empty(y.size)
     for iterations in range(_MAX_ITER):
         np.add(yg, up, out=score)
@@ -264,13 +268,18 @@ def _smo(gram: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, 
     return np.asarray(alphas), float(0.5 * (yg_i - top)), iterations
 
 
+def _decision(model: SvmModel, xs: np.ndarray) -> np.ndarray:
+    """Decision values of rows ``xs`` already standardized by ``model``."""
+    k = kernel_matrix(model.kernel, xs, model.support_vectors)
+    return k @ (model.alphas * model.sv_labels) + model.bias
+
+
 def decision_function(model: SvmModel, rows) -> np.ndarray:
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(
             f"expected rows with {model.n_features} features, got shape {x.shape}")
-    k = kernel_matrix(model.kernel, model.standardize(x), model.support_vectors)
-    return k @ (model.alphas * model.sv_labels) + model.bias
+    return _decision(model, model.standardize(x))
 
 
 def svm_predict(model: SvmModel, rows) -> np.ndarray:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import widefeat.classifier_eval as classifier_eval_module
 from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca,
                                       pca_baseline, score_test_rows)
 from widefeat.dataset import FoldPlan, SignalRecord, fold_roles, make_folds
 from widefeat.errors import ConfigError
-from widefeat.metrics import compute_metrics
-from widefeat.svm import svm_predict
+from widefeat.metrics import compute_metrics, confusion_metrics
+from widefeat.svm import svm_predict, svm_train
 
 
 def records_for(labels):
@@ -27,6 +28,14 @@ def planted_matrix(n=50, n_features=6, gap=6.0, seed=0, period=2):
     values = rng.standard_normal((n, n_features))
     values[:, 2] = labels * gap + 0.3 * rng.standard_normal(n)
     return values, labels
+
+
+def recording(fn, into):
+    """``fn``, appending each result to ``into``."""
+    def wrapper(*args, **kwargs):
+        into.append(fn(*args, **kwargs))
+        return into[-1]
+    return wrapper
 
 
 class TestEvalConfig:
@@ -52,6 +61,32 @@ class TestEvalConfig:
 
 
 class TestEvaluateFeatureSet:
+    @pytest.mark.parametrize("positive", [None, 0])
+    def test_every_grid_report_equals_public_prediction(self, monkeypatch, positive):
+        # each fold scores its 9 models on eval rows standardized once, from
+        # confusion counts; every report must equal the one that svm_predict
+        # and compute_metrics give for the same model and rows
+        models, reports = [], []
+        monkeypatch.setattr(classifier_eval_module, "svm_train", recording(svm_train, models))
+        monkeypatch.setattr(classifier_eval_module, "confusion_metrics",
+                            recording(confusion_metrics, reports))
+        values, labels = planted_matrix(n=60, gap=1.0, seed=5, period=3)
+        plan = make_folds(records_for(labels), p=5, seed=4)
+        config = EvalConfig(positive_class=positive)
+        ids = (0, 2, 4)
+        outcomes = evaluate_feature_set(values, labels, ids, plan, config)
+        grid = len(config.kernels) * len(config.c_grid)
+        assert len(models) == len(reports) == plan.p * grid == 45
+        for k, (model, report) in enumerate(zip(models, reports)):
+            eval_idx = fold_roles(plan, k // grid)[1]
+            predicted = svm_predict(model, values[np.ix_(eval_idx, ids)])
+            assert report == compute_metrics(predicted, labels[eval_idx], model.positive_label)
+        for o in outcomes:
+            assert o.eval_report in reports[o.fold * grid:(o.fold + 1) * grid]
+        # fixture sanity: the models disagree, and some make mistakes
+        assert len({(r.tp, r.tn, r.fp, r.fn) for r in reports}) > 3
+        assert any(r.fp + r.fn for r in reports)
+
     def test_separable_feature_perfect_on_all_folds(self):
         values, labels = planted_matrix()
         plan = make_folds(records_for(labels), p=5, seed=1)

@@ -1,4 +1,5 @@
 import json
+import wave
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,40 @@ class TestWavRecords:
         write_wav(tmp_path / "r3.wav", np.zeros(200, dtype=np.int64), sampwidth=2, rate=1000)
         with pytest.raises(LoadError, match=r"r3\.wav.*200 samples.*300"):
             build_feature_matrix(records, ExtractionConfig(), max_level=2)
+
+    def test_loading_reads_only_each_last_frame(self, tmp_path, monkeypatch):
+        # the frame count comes from the header, checked by reading the last frame
+        asked = []
+        readframes = wave.Wave_read.readframes
+
+        def spy(wav, n):
+            asked.append(n)
+            return readframes(wav, n)
+
+        monkeypatch.setattr(wave.Wave_read, "readframes", spy)
+        self._dataset(tmp_path)
+        assert asked == [1] * 6
+
+    @pytest.mark.parametrize("width, channels", [(1, 2), (2, 1), (3, 1), (2, 2)])
+    def test_truncated_file_loads_whole_frames_or_raises(self, tmp_path, width, channels):
+        # a file cut at a frame boundary loads with the frames it holds; one cut
+        # inside a frame names the bytes it holds
+        ints = np.arange(64 * channels) % 100 + (100 if width == 1 else -50)
+        frame = width * channels
+        full = write_wav(tmp_path / "full.wav", ints, sampwidth=width, rate=100,
+                         channels=channels).read_bytes()
+        (tmp_path / "ok.wav").write_bytes(full)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "format": "wav", "class_names": ["a", "b"],
+            "records": [{"path": "ok.wav", "label": 0}, {"path": "cut.wav", "label": 1}]}))
+        (tmp_path / "cut.wav").write_bytes(full[:-3 * frame])
+        ok, cut = load_dataset(load_manifest(manifest))
+        assert (ok.n_samples, cut.n_samples) == (64, 61)
+        assert cut.samples.tobytes() == ok.samples[:61].tobytes()
+        (tmp_path / "cut.wav").write_bytes(full[:-3 * frame - 1])
+        with pytest.raises(LoadError, match=rf"cut\.wav: {61 * frame - 1} bytes .* truncated"):
+            load_dataset(load_manifest(manifest))
 
     def test_header_fields_validated(self):
         with pytest.raises(ValidationError, match="needs >= 16"):

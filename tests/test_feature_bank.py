@@ -452,23 +452,25 @@ class TestLevel2:
         assert abs(ratio - 2 * np.pi * f / rate) < 1e-2
 
 
-def _least_peaks(run, counts, repeats=3):
-    """The least traced peak of ``run(count)`` over ``repeats`` rounds, per count, and
-    the last result.
+def _steady_peaks(run, counts):
+    """The traced peak of ``run(count)`` per count, after an untraced warm-up
+    round, and the last result.
 
-    The first rounds fill numpy's caches and the interpreter's free lists, which
-    grow during a run and would count against whichever count runs first; the
-    least peak is the run's steady state.
+    A first run fills numpy's caches and the interpreter's free lists, which
+    grow during a run and would count against whichever count runs first.  An
+    untraced round of every count fills them at about a third of the cost of a
+    traced one, so the traced round that follows reads the steady state.
     """
-    peaks = dict.fromkeys(counts, float("inf"))
-    for _ in range(repeats):
-        for count in counts:
-            tracemalloc.start()
-            try:
-                result = run(count)
-                peaks[count] = min(peaks[count], tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+    for count in counts:
+        run(count)
+    peaks = {}
+    for count in counts:
+        tracemalloc.start()
+        try:
+            result = run(count)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     return peaks, result
 
 
@@ -606,7 +608,7 @@ class TestBuildMatrix:
         rng = np.random.default_rng(11)
         records = [record_from(rng.standard_normal(5000), rid=f"r{i}", label=i % 2)
                    for i in range(128)]
-        peaks, matrix = _least_peaks(
+        peaks, matrix = _steady_peaks(
             lambda count: build_feature_matrix(records[:count], ExtractionConfig(), max_level=2),
             (32, 128))
         assert peaks[128] - peaks[32] <= matrix.values.nbytes
@@ -619,7 +621,7 @@ class TestBuildMatrix:
         manifests = {count: load_manifest(write_wav_dataset(tmp_path, ints[:count],
                                                             name=f"m{count}.json"))
                      for count in (32, 128)}
-        peaks, matrix = _least_peaks(lambda count: build_feature_matrix(
+        peaks, matrix = _steady_peaks(lambda count: build_feature_matrix(
             load_dataset(manifests[count]), ExtractionConfig(), max_level=2), (32, 128))
         assert peaks[128] - peaks[32] <= matrix.values.nbytes
 

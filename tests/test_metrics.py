@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from widefeat.metrics import compute_metrics
+from widefeat.metrics import compute_metrics, confusion_metrics
 
 
 def confusion_fixture():
@@ -64,3 +64,34 @@ class TestComputeMetrics:
         payload = compute_metrics(predicted, actual, 1).to_dict()
         assert set(payload) == {"accuracy", "sensitivity", "specificity", "precision",
                                 "f_score", "confusion"}
+
+    @pytest.mark.parametrize("case", ["random", "all_positive", "all_negative", "no_positive"])
+    def test_counts_core_equals_four_count_reference(self, case):
+        # the core counts tp and derives fp, fn and tn from the totals; the
+        # reference counts all four cells directly
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 40):
+            predicted, actual = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            if case == "all_positive":
+                predicted[:] = 1
+            elif case == "all_negative":
+                predicted[:] = 0
+            elif case == "no_positive":
+                actual[:] = 0
+            pred, act = predicted == 1, actual == 1
+            tp, tn = int(np.sum(pred & act)), int(np.sum(~pred & ~act))
+            fp, fn = int(np.sum(pred & ~act)), int(np.sum(~pred & act))
+            got = confusion_metrics(pred, act)
+            assert got == compute_metrics(predicted, actual, positive_class=1)
+            assert (got.tp, got.tn, got.fp, got.fn) == (tp, tn, fp, fn)
+            assert all(isinstance(v, int) for v in (got.tp, got.tn, got.fp, got.fn))
+            assert got.accuracy == (tp + tn) / n
+            assert got.sensitivity == (tp / (tp + fn) if tp + fn else 0.0)
+            assert got.specificity == (tn / (tn + fp) if tn + fp else 0.0)
+            assert got.precision == (tp / (tp + fp) if tp + fp else 0.0)
+
+    def test_counts_core_rejects_empty_or_unequal_masks(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            confusion_metrics(np.zeros(0, bool), np.zeros(0, bool))
+        with pytest.raises(ValueError, match="equal-length"):
+            confusion_metrics(np.zeros(2, bool), np.zeros(3, bool))

@@ -298,16 +298,20 @@ class TestTraceAndSets:
             assert clean.fe1.test_reports[0].to_dict() != garbled.fe1.test_reports[0].to_dict()
 
     def test_each_call_sees_only_its_fold_rows(self, monkeypatch):
-        # spies record the rows handed to every selection, fit and prediction;
-        # each call's fold follows from the order the loop makes the calls in
+        # spies record the rows handed to every selection, fit and scoring, and
+        # what each returned; each call's fold follows from the order the loop
+        # makes the calls in.  A fold scores its models' eval rows through
+        # _decision, on rows it standardized once; test rows go through svm_predict
         calls = []
 
         def spy(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls.append((name, args))
-                return original(*args, **kwargs)
+                call = [name, args, None]
+                calls.append(call)
+                call[2] = original(*args, **kwargs)
+                return call[2]
 
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -315,6 +319,7 @@ class TestTraceAndSets:
                             (recommender_module, "mrms_select"),
                             (recommender_module, "evaluate_feature_set"),
                             (classifier_eval_module, "svm_train"),
+                            (classifier_eval_module, "_decision"),
                             (classifier_eval_module, "svm_predict")):
             spy(owner, name)
         # tau above 1 runs every level, and c=3 refines the 3-feature Fe2
@@ -324,7 +329,7 @@ class TestTraceAndSets:
         fits_per_fold = len(FAST_EVAL.kernels) * len(FAST_EVAL.c_grid)
 
         # per level, each fold in turn runs mRMR, then MRMS
-        selections = [args for name, args in calls if name.endswith("_select")]
+        selections = [args for name, args, _ in calls if name.endswith("_select")]
         assert len(selections) == 2 * p * (rec.config.max_level_cap + 1)
         for i, (sub, *_) in enumerate(selections):
             train_idx, eval_idx, _ = roles[i // 2 % p]
@@ -333,24 +338,31 @@ class TestTraceAndSets:
             np.testing.assert_array_equal(sub, values[rows, :n_cols])
 
         # each evaluation fits every kernel and C per fold, in fold order, and
-        # scores each model on that fold's eval rows right after its fit
-        last_evaluation = max(i for i, (name, _) in enumerate(calls)
+        # scores each model on that fold's eval rows, standardized by the mean
+        # and std of its train rows, right after its fit
+        last_evaluation = max(i for i, (name, *_) in enumerate(calls)
                               if name == "evaluate_feature_set")
         test_predictions = []
-        for i, (name, args) in enumerate(calls):
+        for i, (name, args, _) in enumerate(calls):
             if name == "evaluate_feature_set":
                 ids, fits = args[2], 0
             elif name == "svm_train":
                 train_idx, eval_idx, _ = roles[fits // fits_per_fold]
                 np.testing.assert_array_equal(args[0], values[np.ix_(train_idx, ids)])
                 fits += 1
-            elif name == "svm_predict" and calls[i - 1][0] == "svm_train":
-                np.testing.assert_array_equal(args[1], values[np.ix_(eval_idx, ids)])
+            elif name == "_decision":
+                assert calls[i - 1][0] == "svm_train" and args[0] is calls[i - 1][2]
+                train = values[np.ix_(train_idx, ids)]
+                std = train.std(axis=0)
+                std[std == 0.0] = 1.0
+                want = (values[np.ix_(eval_idx, ids)] - train.mean(axis=0)) / std
+                assert args[1].shape == want.shape and args[1].tobytes() == want.tobytes()
             elif name == "svm_predict":
                 assert i > last_evaluation
                 test_predictions.append(args[1])
-        names = [name for name, _ in calls]
+        names = [name for name, *_ in calls]
         assert names.count("svm_train") == names.count("evaluate_feature_set") * p * fits_per_fold
+        assert names.count("_decision") == names.count("svm_train")
         assert rec.refined is not None and not rec.refined.skipped
         # a set's models take its columns in ascending id order
         expected = [values[np.ix_(roles[fold][2], sorted(fe.ids))]

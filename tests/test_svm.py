@@ -205,6 +205,18 @@ class TestPrediction:
         assert free.any()
         np.testing.assert_allclose(scores[free] * model.sv_labels[free], 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    def test_decision_function_is_the_standardized_helper(self, kind):
+        # a fold scores its eval rows with _decision on rows it standardized
+        # once; public predictions must give the same bits
+        rows, labels = separable_blobs(gap=1.0, seed=12)
+        model = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=1.0)
+        new_rows = np.random.default_rng(13).standard_normal((25, 2)) * 2.0
+        want = svm._decision(model, model.standardize(new_rows))
+        assert decision_function(model, new_rows).tobytes() == want.tobytes()
+        k = kernel_matrix(model.kernel, model.standardize(new_rows), model.support_vectors)
+        assert want.tobytes() == (k @ (model.alphas * model.sv_labels) + model.bias).tobytes()
+
     def test_width_mismatch(self):
         rows, labels = separable_blobs()
         model = svm_train(rows, labels)
