@@ -2,15 +2,17 @@
 
 The loop walks feature-bank levels bottom-up.  At each level both selectors
 run once per fold, on that fold's train+eval rows, up to the largest k in the
-schedule.  Each k in the schedule then takes the first k picks of those runs
-(a greedy selector updates its sums only after a pick, so the prefix equals a
-run stopped at k); their union forms a candidate set, and candidates are
-scored on evaluation rows across all folds; each distinct id set is
-evaluated once per run, however many steps or refinement subsets propose
-it.  The first candidate meeting the target metric in every fold stops the
-loop, so cheap features win whenever they suffice.  Test rows stay untouched
-until Fe1 and Fe2 are frozen; their test metrics then come from the fold
-models kept by the evaluation pass, with no refit.
+schedule; MRMS reads a per-fold dependency memo kept for the whole run, so a
+level computes only the single and (pick, column) dependencies that no lower
+level asked for.  Each k in the schedule then takes the first k picks of
+those runs (a greedy selector updates its sums only after a pick, so the
+prefix equals a run stopped at k); their union forms a candidate set, and
+candidates are scored on evaluation rows across all folds; each distinct id
+set is evaluated once per run, however many steps or refinement subsets
+propose it.  The first candidate meeting the target metric in every fold
+stops the loop, so cheap features win whenever they suffice.  Test rows stay
+untouched until Fe1 and Fe2 are frozen; their test metrics then come from the
+fold models kept by the evaluation pass, with no refit.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import (ConfigError, RunError, flat_dict, json_value, known_keys, l
 from .feature_bank import (MAX_LEVEL, ExtractionConfig, FeatureMatrix, build_feature_matrix,
                            describe)
 from .metrics import MetricReport
-from .selector import (SelectionResult, SelectorConfig, mrmr_select, mrms_select,
-                       union_recommend)
+from .selector import (SelectionResult, SelectorConfig, _CrossClassGaps, mrmr_select,
+                       mrms_select, union_recommend)
 
 TRACE_NOTE = ("each round reselects k features per fold and advances k through the "
               "schedule, escalating to the next feature level when no candidate "
@@ -231,6 +233,8 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
 
     # selection sees each fold's train+eval rows only
     fold_rows = [np.flatnonzero(plan.assignments != fold) for fold in range(plan.p)]
+    # one fuzzy-dependency memo per fold over all columns, shared by MRMS at every level
+    memos = [_CrossClassGaps(matrix.values[rows], labels[rows]) for rows in fold_rows]
 
     outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # per id set, ids ascending
 
@@ -248,11 +252,12 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
         level_values = matrix.values[:, :n_cols]
         k_top = min(max(config.k_schedule), n_cols)
         top = []
-        for rows in fold_rows:
+        for rows, memo in zip(fold_rows, memos):
             sub = level_values[rows]
             sub_labels = labels[rows]
             top.append((mrmr_select(sub, sub_labels, k_top, config.selector.mrmr_objective),
-                        mrms_select(sub, sub_labels, k_top, config.selector.mrms_beta)))
+                        mrms_select(sub, sub_labels, k_top, config.selector.mrms_beta,
+                                    memo=memo)))
         for k in dict.fromkeys(min(k_raw, n_cols) for k_raw in config.k_schedule):
             selections = []
             for fold, (x_top, y_top) in enumerate(top):

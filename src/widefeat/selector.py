@@ -204,10 +204,16 @@ class _CrossClassGaps:
     Blocks are rebuilt from the normalized columns on every call, a slab of
     class-0 rows at a time, so no temporary grows past about ``_BLOCK_BYTES``
     beyond the n0 x n1 block of the fixed partners.
+
+    Normalization and sigma are per column, min and max are exact and each
+    mean runs over one record-order row, so a dependency has the same bits
+    whichever columns share its call.  So one instance per fold, over all
+    columns, serves MRMS at every level: ``known`` computes each single and
+    (partner, column) dependency once, keeping one float apiece.
     """
 
     def __init__(self, values: np.ndarray, labels):
-        labels = np.asarray(labels)
+        self._labels = labels = np.asarray(labels)
         classes = np.unique(labels)
         if classes.size > 2:
             raise ValueError(
@@ -221,7 +227,16 @@ class _CrossClassGaps:
         self._sigma = np.where(sigma > 0.0, sigma, 1.0)
         self._rows = [np.flatnonzero(labels == c) for c in classes]
         self._cols = [norm[rows] for rows in self._rows]
-        self._n = labels.size
+        self._memo: dict = {}  # partner (None for singles) -> (dependencies, known mask)
+
+    def check(self, values: np.ndarray, labels) -> None:
+        """ValueError unless these are the rows and labels this was built on, and
+        ``values`` its leading columns (as normalized, all a dependency reads)."""
+        norm = _minmax_normalize(values)
+        if not (np.array_equal(labels, self._labels) and len(norm) == self._labels.size
+                and all(np.array_equal(norm[rows], cols[:, :norm.shape[1]])
+                        for rows, cols in zip(self._rows, self._cols))):
+            raise ValueError("the dependency memo was built on other rows, labels or columns")
 
     def dependencies(self, ids, partners=()) -> np.ndarray:
         """Dependency of each subset {f} | ``partners`` for the features f in ``ids``."""
@@ -231,7 +246,8 @@ class _CrossClassGaps:
         rows0, rows1 = self._rows
         fixed = None  # the partners' largest gap, class-0 rows x class-1 rows x 1
         for p in partners:
-            gap = _scaled_gaps(self._cols[0][:, [p]], self._cols[1][:, [p]], self._sigma[[p]])
+            gap = _scaled_gaps(self._cols[0][:, p:p + 1], self._cols[1][:, p:p + 1],
+                               self._sigma[p:p + 1])
             fixed = gap if fixed is None else np.maximum(fixed, gap, out=fixed)
         near, far, sigma = self._cols[0][:, ids], self._cols[1][:, ids], self._sigma[ids]
         slab = max(1, _BLOCK_BYTES // (8 * rows1.size * ids.size))
@@ -246,11 +262,22 @@ class _CrossClassGaps:
                 np.maximum(gaps, fixed[rows], out=gaps)
             gaps.min(axis=1, out=nearest0[rows])
             np.minimum(nearest1, gaps.min(axis=0), out=nearest1)
-        lower = np.empty((ids.size, self._n))
-        lower[:, rows0] = (1.0 - np.maximum(0.0, 1.0 - nearest0)).T
-        lower[:, rows1] = (1.0 - np.maximum(0.0, 1.0 - nearest1)).T
+        lower = np.empty((ids.size, self._labels.size))
+        lower[:, rows0] = nearest0.T
+        lower[:, rows1] = nearest1.T
+        lower = 1.0 - np.maximum(0.0, 1.0 - lower)
         # each row is in record order, so it sums as a 1-D mean would
         return lower.mean(axis=1)
+
+    def known(self, ids, partner=None) -> np.ndarray:
+        """``dependencies(ids, (partner,))``; one pass computes the ids not asked before."""
+        deps, done = self._memo.setdefault(
+            partner, (np.empty(self._sigma.size), np.zeros(self._sigma.size, bool)))
+        todo = ids[~done[ids]]
+        if todo.size:
+            deps[todo] = self.dependencies(todo, () if partner is None else (partner,))
+            done[todo] = True
+        return deps[ids]
 
 
 def fuzzy_dependency(columns, labels) -> float:
@@ -274,7 +301,7 @@ def fuzzy_dependency(columns, labels) -> float:
     return float(_CrossClassGaps(values, labels).dependencies([0], partners)[0])
 
 
-def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
+def mrms_select(values, labels, k: int, beta: float = 0.5, *, memo=None) -> SelectionResult:
     """Greedy MRMS: maximize J = J_rel + beta * J_sig.
 
     J_rel(f) is the single-feature fuzzy dependency; J_sig(f | S) is the mean
@@ -286,6 +313,10 @@ def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
     feature in one pass.  Memory is O(n0 * n1) plus that slab, not one n x n
     matrix per feature (at 800 records x 163 features, under 128 MB where
     those matrices alone take 835 MB).
+
+    ``memo`` (a ``_CrossClassGaps`` built once per fold on these rows and labels,
+    ``values`` its leading columns, else ValueError) keeps the normalization and
+    each dependency across calls: a call computes only those it lacks, same bits.
     """
     values = np.asarray(getattr(values, "values", values), dtype=float)
     n_features = values.shape[1]
@@ -293,10 +324,13 @@ def mrms_select(values, labels, k: int, beta: float = 0.5) -> SelectionResult:
         raise ValueError(f"k={k} out of range for {n_features} features")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    gaps = _CrossClassGaps(values, labels)
-    singles = gaps.dependencies(np.arange(n_features))
+    if memo is None:
+        memo = _CrossClassGaps(values, labels)
+    else:
+        memo.check(values, labels)
+    singles = memo.known(np.arange(n_features))
     return _greedy("mrms", k, singles, lambda j_sig: singles + beta * j_sig,
-                   lambda pick, rest: gaps.dependencies(rest, (pick,)) - singles[pick])
+                   lambda pick, rest: memo.known(rest, pick) - singles[pick])
 
 
 def union_recommend(x: SelectionResult, y: SelectionResult, k: int) -> tuple[int, ...]:

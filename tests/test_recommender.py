@@ -442,9 +442,9 @@ class TestSelectionOncePerFold:
         calls = []
 
         def counted(select):
-            def wrapper(values, labels, k, *args):
+            def wrapper(values, labels, k, *args, **kwargs):
                 calls.append((select.__name__, k))
-                return select(values, labels, k, *args)
+                return select(values, labels, k, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(recommender_module, "mrmr_select", counted(mrmr_select))

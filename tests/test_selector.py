@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from widefeat import selector
 from widefeat.selector import (F_SENTINEL, RelevanceCache, f_statistic, fuzzy_dependency,
                                mrmr_select, mrms_select, union_recommend)
 
@@ -293,10 +294,88 @@ class TestMrmsBlocks:
         try:
             mrms_select(values, labels, 3)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            # the three feature levels of one fold, sharing one memo as recommend runs them
+            memo = selector._CrossClassGaps(values, labels)
+            for n_cols in (17, 124, 163):
+                mrms_select(values[:, :n_cols], labels, 3, memo=memo)
+            shared_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one 800 x 800 similarity matrix per feature would be 835 MB
         assert peak < 128 * 2**20
+        assert shared_peak < 128 * 2**20
+
+
+def wide_mrms_fixture(rng):
+    """mrms_fixture's columns followed by more of the same kinds, 30 in all."""
+    values, labels = mrms_fixture(rng)
+    extra = rng.standard_normal((values.shape[0], 30 - values.shape[1]))
+    extra[:, 0] = values[:, 3]  # a duplicate of a column in the first prefix
+    extra[:, 1] = np.round(2.0 * extra[:, 1])
+    extra[:, 2] = -1.5
+    extra[:, 3] += (labels == labels.max()) * rng.uniform(0.3, 2.0)
+    return np.column_stack([values, extra]), labels
+
+
+def steps_of(result):
+    return tuple((s.feature_id, s.relevance, s.pairwise, s.score) for s in result.step_scores)
+
+
+class TestMrmsMemo:
+    """One memo per fold serves MRMS on every column prefix, as the levels of
+    ``recommend`` use it, with the bits of a fresh run."""
+
+    @pytest.mark.parametrize("block_bytes", [selector._BLOCK_BYTES, 4096])
+    def test_shared_prefixes_bitwise_equal_to_fresh_runs(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(selector, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(31)
+        for trial in range(8):
+            values, labels = wide_mrms_fixture(rng)
+            prefixes = [10, 22, 30]
+            beta = float(rng.choice([0.0, 0.5, 1.3]))
+            for order in (prefixes, list(rng.permutation(prefixes))):
+                memo = selector._CrossClassGaps(values, labels)
+                for n_cols in order:
+                    sub = values[:, :n_cols]
+                    k = int(rng.integers(2, n_cols + 1))
+                    shared = mrms_select(sub, labels, k, beta, memo=memo)
+                    assert shared == mrms_select(sub, labels, k, beta), (trial, n_cols)
+                    ids, steps = oracles.mrms_reference(sub, labels, k, beta)
+                    assert shared.ranked_ids == ids, (trial, n_cols)
+                    assert steps_of(shared) == steps, (trial, n_cols)  # exact floats
+
+    def test_each_dependency_computed_once(self, monkeypatch):
+        asked = []
+        computed = selector._CrossClassGaps.dependencies
+
+        def spy(self, ids, partners=()):
+            asked.extend((tuple(partners), int(i)) for i in ids)
+            return computed(self, ids, partners)
+
+        monkeypatch.setattr(selector._CrossClassGaps, "dependencies", spy)
+        values, labels = wide_mrms_fixture(np.random.default_rng(32))
+        memo = selector._CrossClassGaps(values, labels)
+        for n_cols in (22, 10, 30, 22):
+            mrms_select(values[:, :n_cols], labels, min(n_cols, 9), memo=memo)
+        assert len(asked) == len(set(asked))
+        assert sorted(i for partners, i in asked if not partners) == list(range(30))
+
+    def test_misuse_rejected(self):
+        values, labels = wide_mrms_fixture(np.random.default_rng(33))
+        memo = selector._CrossClassGaps(values, labels)
+        other_labels = labels.copy()
+        other_labels[[0, 1]] = labels[[1, 0]]
+        changed = values[:, :20].copy()
+        changed[5, 7] += 0.25
+        misuses = [(values[1:], labels[1:]),  # other rows
+                   (values[::-1], labels[::-1]),
+                   (values, other_labels),
+                   (values[:, 1:21], labels),  # not the leading columns
+                   (changed, labels)]
+        for sub, sub_labels in misuses:
+            with pytest.raises(ValueError, match="memo"):
+                mrms_select(sub, sub_labels, 2, memo=memo)
 
 
 class TestPrefix:
