@@ -70,7 +70,7 @@ class EvalConfig:
 @dataclass(frozen=True)
 class FoldOutcome:
     """One fold's winning model with its eval-row report, plus a test-row report once
-    :func:`score_test_rows` adds one; a single-class training fold keeps no model."""
+    :func:`score_test_rows` adds one; a fold whose training failed keeps no model."""
     fold: int
     eval_report: MetricReport | None
     test_report: MetricReport | None
@@ -88,8 +88,8 @@ def _fit_fold(plan: FoldPlan, fold: int, rows, labels, config: EvalConfig,
     metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
     Once per fold: the shared :class:`~widefeat.svm.FoldProblem` (which picks the
     positive label), the eval rows standardized by its mean and std with their
-    positive mask, and each kernel's spec and Gram.  Per fit: the SMO solve, the
-    decision values on those rows and the confusion counts."""
+    positive mask, and each kernel's spec, Gram and curvature table.  Per fit: the
+    SMO solve, the decision values on those rows and the confusion counts."""
     train_idx, eval_idx, _ = fold_roles(plan, fold)
     x_train, y_train = rows(train_idx), labels[train_idx]
     x_eval, y_eval = rows(eval_idx), labels[eval_idx]
@@ -127,8 +127,9 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
     on the order the distinct ids are given in.  The kernel/C pair with the
     best evaluation-row metric wins each fold, and its model is kept on the
     outcome.  Test rows are never read: the outcomes carry no test report
-    until :func:`score_test_rows` adds one.  Folds whose training rows hold a
-    single class are marked failed.
+    until :func:`score_test_rows` adds one.  A fold whose training raises
+    :class:`TrainingError` is marked failed: its training rows hold one class or a
+    non-finite value, or a fit is short of the KKT gap after ``svm._MAX_ITER`` updates.
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)

@@ -14,6 +14,8 @@ label set-up depend only on the training rows: a :class:`FoldProblem` holds
 them once per fold and feature set for the whole kernel/C grid, and a fit
 builds only its box, its alphas and the gradient.  The rbf and poly Grams are
 derived from the linear one with :func:`kernel_matrix`'s expressions, bit for bit.
+Beside each kernel's Gram it keeps the table of WSS2's pair curvatures, which
+depend on the kernel alone: a kernel's C values share it, and a step reads one row.
 """
 
 from __future__ import annotations
@@ -117,18 +119,30 @@ class FoldProblem:
     is_pos: list[bool]
     up: np.ndarray
     low: np.ndarray
-    _last: list = field(default_factory=list, init=False, repr=False)  # [(spec, Gram)]
+    _last: list = field(default_factory=list, init=False, repr=False)  # [spec, Gram, table]
 
     def gram(self, spec: KernelSpec) -> np.ndarray:
         """The Gram of ``spec`` over the standardized rows, bit for bit what
-        ``kernel_matrix(spec, xs, xs)`` gives.  Only the last rbf or poly Gram is
-        kept, so a problem holds at most two n x n arrays."""
+        ``kernel_matrix(spec, xs, xs)`` gives.  Beside the linear Gram only the last
+        kernel's Gram and curvature table are kept: at most three n x n arrays."""
+        return self._kernel(spec)[1]
+
+    def curvature(self, spec: KernelSpec) -> np.ndarray:
+        """``T[i, t] = max((d_i + d_t) - K[i, t] * 2, _TAU)`` for ``spec``'s Gram ``K``
+        with diagonal ``d``: the curvature of an SMO step on pair (i, t), floored for
+        kernels that are not positive definite.  Its build makes one n x n temporary."""
+        return self._kernel(spec)[2]
+
+    def _kernel(self, spec: KernelSpec) -> list:
         spec = spec.resolve(self.xs.shape[1])
-        if spec.kind == "linear":
-            return self.linear
-        if not self._last or self._last[0][0] != spec:
-            self._last[:] = [(spec, _dot_kernel(spec, self.linear, self.sq_norms, self.sq_norms))]
-        return self._last[0][1]
+        if not self._last or self._last[0] != spec:
+            self._last.clear()  # the last kernel's arrays go before the next one's are built
+            gram = (self.linear if spec.kind == "linear"
+                    else _dot_kernel(spec, self.linear, self.sq_norms, self.sq_norms))
+            table = np.add.outer(gram.diagonal(), gram.diagonal())
+            table -= gram * 2.0
+            self._last[:] = [spec, gram, np.maximum(table, _TAU, out=table)]
+        return self._last
 
     def built_from(self, rows: np.ndarray, labels: np.ndarray) -> bool:
         return ((rows is self.rows or np.array_equal(rows, self.rows))
@@ -207,7 +221,7 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         raise ValueError(f"C must be positive, got {c}")
     spec = kernel.resolve(problem.xs.shape[1])
     box = c * problem.unit_box
-    alphas, bias, iterations = _smo(problem, problem.gram(spec), box)
+    alphas, bias, iterations = _smo(problem, problem.gram(spec), problem.curvature(spec), box)
     keep = alphas > 1e-10
     return SvmModel(
         kernel=spec, c=c, class_weights=dict(problem.class_weights),
@@ -218,23 +232,25 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         iterations=iterations)
 
 
-def _smo(problem: FoldProblem, gram: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Solve the dual for ``gram``, ``problem``'s labels and per-row upper bounds
-    ``box``; return the alphas, the bias and the number of pair updates."""
-    y, pos, sign_of, diag = problem.y, problem.is_pos, problem.signs, gram.diagonal()
+def _smo(problem: FoldProblem, gram: np.ndarray, table: np.ndarray,
+         box: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Solve the dual for ``gram``, its curvature ``table``, ``problem``'s labels and
+    per-row upper bounds ``box``; return the alphas, the bias and the number of pair
+    updates.  A step makes 12 passes over arrays; its scalars are Python floats."""
+    y, pos, sign_of = problem.y, problem.is_pos, problem.signs
     box_at = box.tolist()
     alphas = [0.0] * y.size  # only rows i and j are read or written in a step
     yg = y.copy()  # -y * gradient of the dual objective; the gradient starts at -1
     # additive masks, 0 where a row can move that way and -inf where it cannot:
     # i comes from the rows whose y * alpha can go up, j from those where it can go down
     up, low = problem.up.copy(), problem.low.copy()
-    score, curv, row = np.empty(y.size), np.empty(y.size), np.empty(y.size)
+    score, row = np.empty(y.size), np.empty(y.size)
     for iterations in range(_MAX_ITER):
         np.add(yg, up, out=score)
         i = int(score.argmax())
-        yg_i = yg[i]
+        yg_i = yg.item(i)
         np.subtract(low, yg, out=score)
-        top = score.max()  # -min(yg) over low, so the KKT gap is yg_i + top
+        top = score.item(score.argmax())  # -min(yg) over low, so the KKT gap is yg_i + top
         if yg_i + top < _TOL:
             break
         # WSS2: among low rows with a positive gap yg_i - yg, the largest gap^2 / curv.
@@ -242,16 +258,13 @@ def _smo(problem: FoldProblem, gram: np.ndarray, box: np.ndarray) -> tuple[np.nd
         np.add(score, yg_i, out=score)
         np.maximum(score, 0.0, out=score)
         np.multiply(score, score, out=score)
-        np.add(diag, diag[i], out=curv)
-        np.multiply(gram[i], 2.0, out=row)
-        np.subtract(curv, row, out=curv)
-        np.maximum(curv, _TAU, out=curv)
+        curv = table[i]
         np.divide(score, curv, out=score)
         j = int(score.argmax())
         # alpha_i moves by y_i * step and alpha_j by -y_j * step, so sum(alpha * y) stays put
         room_i = box_at[i] - alphas[i] if pos[i] else alphas[i]
         room_j = alphas[j] if pos[j] else box_at[j] - alphas[j]
-        step = min((yg_i - yg[j]) / curv[j], room_i, room_j)
+        step = min((yg_i - yg.item(j)) / curv.item(j), room_i, room_j)
         for t, sign, room in ((i, sign_of[i], room_i), (j, -sign_of[j], room_j)):
             end = box_at[t] if sign > 0.0 else 0.0
             a = end if step == room else min(max(alphas[t] + sign * step, 0.0), box_at[t])

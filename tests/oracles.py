@@ -306,6 +306,53 @@ def kkt_violation(model, rows, labels):
     return worst
 
 
+def smo_reference(gram, y, box, tol=1e-3, tau=1e-12, max_iter=1_000_000):
+    """SMO with WSS2 as the package solved it before its curvature table: each step
+    rebuilds the pair curvatures ``max((d + d_i) - 2 K_i, tau)`` of row i and keeps its
+    scalars as numpy scalars.  ``y`` is +/-1 and ``box`` the per-row upper bounds;
+    returns the alphas, the bias and the number of pair updates, or None at the cap."""
+    gram = np.asarray(gram, dtype=float)
+    y = np.asarray(y, dtype=float)
+    box = np.asarray(box, dtype=float)
+    diag = gram.diagonal()
+    pos = y > 0
+    alphas = np.zeros(y.size)
+    yg = y.copy()
+    up = np.where(pos, 0.0, -np.inf)
+    low = np.where(pos, -np.inf, 0.0)
+    score, curv, row = np.empty(y.size), np.empty(y.size), np.empty(y.size)
+    for iterations in range(max_iter):
+        np.add(yg, up, out=score)
+        i = int(score.argmax())
+        yg_i = yg[i]
+        np.subtract(low, yg, out=score)
+        top = score.max()
+        if yg_i + top < tol:
+            return alphas, float(0.5 * (yg_i - top)), iterations
+        np.add(score, yg_i, out=score)
+        np.maximum(score, 0.0, out=score)
+        np.multiply(score, score, out=score)
+        np.add(diag, diag[i], out=curv)
+        np.multiply(gram[i], 2.0, out=row)
+        np.subtract(curv, row, out=curv)
+        np.maximum(curv, tau, out=curv)
+        np.divide(score, curv, out=score)
+        j = int(score.argmax())
+        room_i = box[i] - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else box[j] - alphas[j]
+        step = min((yg_i - yg[j]) / curv[j], room_i, room_j)
+        for t, sign, room in ((i, y[i], room_i), (j, -y[j], room_j)):
+            end = box[t] if sign > 0.0 else 0.0
+            a = end if step == room else min(max(alphas[t] + sign * step, 0.0), box[t])
+            alphas[t] = a
+            up[t] = 0.0 if (a < box[t] if pos[t] else a > 0.0) else -np.inf
+            low[t] = 0.0 if (a > 0.0 if pos[t] else a < box[t]) else -np.inf
+        np.subtract(gram[i], gram[j], out=row)
+        np.multiply(row, step, out=row)
+        np.subtract(yg, row, out=yg)
+    return None
+
+
 def catalog_reference(x):
     """The statistical catalog one statistic at a time (each recomputes its
     own mean, moments and extremes), with numpy's own ``median`` and

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import widefeat.classifier_eval as classifier_eval_module
+import widefeat.svm as svm_module
 from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca,
                                       pca_baseline, score_test_rows)
 from widefeat.dataset import FoldPlan, SignalRecord, fold_roles, make_folds
@@ -162,6 +163,17 @@ class TestEvaluateFeatureSet:
         # fold 0 excludes folds {0, 1}, which hold every class-0 record
         assert outcomes[0].failed
         assert sum(o.failed for o in outcomes) == 1
+
+    def test_fold_whose_fit_hits_the_iteration_cap_marked_failed(self, monkeypatch):
+        # any TrainingError fails the fold, not only a single-class one: here every
+        # fit needs more than two pair updates, so all four folds fail
+        values, labels = planted_matrix(n=40, gap=1.0, seed=3)
+        plan = FoldPlan(p=4, assignments=np.arange(40) % 4, seed=0)
+        config = EvalConfig(kernels=("linear",), c_grid=(1.0,))
+        assert not any(o.failed for o in evaluate_feature_set(values, labels, (0, 2), plan, config))
+        monkeypatch.setattr(svm_module, "_MAX_ITER", 2)
+        outcomes = evaluate_feature_set(values, labels, (0, 2), plan, config)
+        assert all(o.failed and o.eval_report is None for o in outcomes)
 
     def test_determinism(self):
         values, labels = planted_matrix(seed=9)

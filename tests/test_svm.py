@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,46 @@ class TestOptimality:
         assert max(worst) <= 1e-3
 
 
+def _tied(n, seed):
+    """Overlapping rows, then all of them again and a few a third time with the
+    other label: equal rows give equal ``yg`` values and zero pair curvature."""
+    rows, labels = _overlapping(n, seed)
+    return np.vstack([rows, rows, rows[:5]]), np.concatenate([labels, labels, 1 - labels[:5]])
+
+
+def _with_constant(rows, labels):
+    return np.column_stack([rows, np.full(rows.shape[0], 7.0)]), labels
+
+
+class TestStepMatchesReference:
+    """``svm_train`` gives the alphas, bias and update count of the solver as it stood
+    before the curvature table, bit for bit (``oracles.smo_reference``)."""
+
+    @pytest.mark.parametrize("data", [
+        (np.array([[0.0, 1.0], [1.0, 0.3], [0.2, 0.2], [0.9, 1.1]]), np.array([0, 0, 1, 1])),
+        _with_constant(*_overlapping(40, 21)),
+        _tied(60, 22),
+        _overlapping(300, 23)], ids=["n4", "zero-variance-column", "tied", "n300"])
+    @pytest.mark.parametrize("mode", ["balanced", "none"])
+    @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
+    def test_fits_equal_reference(self, kind, mode, data):
+        rows, labels = data
+        at_box = 0
+        for c in (0.1, 1.0, 10.0):
+            model = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c, class_weights=mode)
+            xs = model.standardize(rows)
+            y = np.where(labels == model.positive_label, 1.0, -1.0)
+            box = np.array([c * model.class_weights[int(v)] for v in labels])
+            alphas, bias, iterations = oracles.smo_reference(
+                kernel_matrix(model.kernel, xs, xs), y, box)
+            keep = alphas > 1e-10
+            assert model.alphas.tobytes() == alphas[keep].tobytes(), c
+            assert model.support_vectors.tobytes() == xs[keep].tobytes(), c
+            assert (model.bias, model.iterations) == (bias, iterations), c
+            at_box += int(np.sum(model.alphas == model.sv_box))
+        assert at_box > 0  # some fit ends with alphas on the box
+
+
 def _model_fields(model):
     return {name: getattr(model, name) for name in model.__dataclass_fields__}
 
@@ -149,6 +190,45 @@ class TestFoldProblem:
         got = problem.gram(spec)
         assert got.tobytes() == want.tobytes()
         assert problem.gram(spec) is got  # asked again, the Gram is not rebuilt
+        table, diag = problem.curvature(spec), want.diagonal()
+        for i in range(len(want)):  # the curvature passes the solver made per step before
+            row = np.maximum((diag + diag[i]) - want[i] * 2.0, svm._TAU)
+            assert table[i].tobytes() == row.tobytes(), i
+        assert problem.curvature(spec) is table
+
+    def test_problem_holds_at_most_three_square_arrays(self, monkeypatch):
+        rows, labels = _overlapping(40, 7)
+        problem = fold_problem(rows, labels)
+        seen = []  # per fit: the table it read and the n x n arrays the problem held
+        solve = svm._smo
+
+        def spy(problem, gram, table, box):
+            held = list(vars(problem).values()) + problem._last
+            seen.append((table, {id(a) for a in held
+                                 if isinstance(a, np.ndarray) and a.shape == (40, 40)}))
+            return solve(problem, gram, table, box)
+
+        monkeypatch.setattr(svm, "_smo", spy)
+        for kind in ("linear", "rbf", "poly", "linear"):
+            for c in (0.1, 1.0, 10.0):
+                svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c, problem=problem)
+        assert [len(held) for _, held in seen] == [2] * 3 + [3] * 6 + [2] * 3
+        tables = [table for table, _ in seen]
+        for k in range(0, 12, 3):  # a kernel's C values share one table, built once
+            assert tables[k] is tables[k + 1] is tables[k + 2]
+        assert len({id(table) for table in tables}) == 4  # linear's is rebuilt after poly
+
+    def test_table_build_makes_one_square_temporary(self):
+        rows, labels = _overlapping(300, 8)
+        problem = fold_problem(rows, labels)
+        tracemalloc.start()
+        try:
+            problem.curvature(KernelSpec(kind="linear"))  # the linear Gram exists already
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        square = 300 * 300 * 8
+        assert 2 * square <= peak < 2.5 * square  # the table and one temporary
 
     @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
     def test_shared_problem_fits_equal_plain_fits(self, kind):
