@@ -265,16 +265,11 @@ class FoldPlan:
 
     p: int
     assignments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=int)
         a.flags.writeable = False
         object.__setattr__(self, "assignments", a)
-
-    @property
-    def n_records(self) -> int:
-        return int(self.assignments.size)
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -297,7 +292,7 @@ def make_folds(records, p: int, seed: int) -> FoldPlan:
                 f"class {cls} has {members.size} records; needs >= {p} for {p}-fold plans")
         rng.shuffle(members)
         assignments[members] = np.arange(members.size) % p
-    return FoldPlan(p=p, assignments=assignments, seed=seed)
+    return FoldPlan(p=p, assignments=assignments)
 
 
 def fold_roles(plan: FoldPlan, test_fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

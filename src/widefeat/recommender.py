@@ -166,7 +166,6 @@ class Recommendation:
     config: RecommendConfig
     matrix: FeatureMatrix
     plan: FoldPlan
-    trace_note: str = TRACE_NOTE
 
     def to_dict(self) -> dict:
         d = self.matrix.descriptors
@@ -176,7 +175,7 @@ class Recommendation:
             "fe2": self.fe2.to_dict(d),
             "level_reached": self.level_reached,
             "target_met": self.target_met,
-            "trace_note": self.trace_note,
+            "trace_note": TRACE_NOTE,
             "trace": json_value(self.trace),
             "refinement": json_value(self.refined),
         }

@@ -11,11 +11,11 @@ penalize minority errors harder.
 
 The checks, the standardization, the linear Gram ``Xs Xsᵀ`` and the solver's
 label set-up depend only on the training rows: a :class:`FoldProblem` holds
-them once per fold and feature set for the whole kernel/C grid, and a fit
-builds only its box, its alphas and the gradient.  The rbf and poly Grams are
-derived from the linear one with :func:`kernel_matrix`'s expressions, bit for bit.
-Beside each kernel's Gram it keeps the table of WSS2's pair curvatures, which
-depend on the kernel alone: a kernel's C values share it, and a step reads one row.
+them once per fold and feature set for the whole kernel/C grid, and its
+:meth:`FoldProblem.fit` builds only a fit's box, alphas and gradient.  The rbf and
+poly Grams are derived from the linear one with :func:`kernel_matrix`'s expressions,
+bit for bit.  Beside each kernel's Gram it keeps the table of WSS2's pair curvatures,
+which depend on the kernel alone: a kernel's C values share it, and a step reads one row.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class SvmModel:
 class FoldProblem:
     """What every fit on one set of training rows shares, whatever its kernel and C.
 
-    Build it with :func:`fold_problem`.  ``linear`` is the Gram ``xs @ xs.T`` of
-    the standardized rows; :meth:`gram` derives the rbf and poly Grams from it.
+    Build it with :func:`fold_problem`, and solve its dual with :meth:`fit`.  ``linear``
+    is the Gram ``xs @ xs.T`` of the standardized rows; the rbf and poly Grams derive from it.
     """
     rows: np.ndarray  # the training rows, as floats
     labels: np.ndarray
@@ -121,19 +121,23 @@ class FoldProblem:
     low: np.ndarray
     _last: list = field(default_factory=list, init=False, repr=False)  # [spec, Gram, table]
 
-    def gram(self, spec: KernelSpec) -> np.ndarray:
-        """The Gram of ``spec`` over the standardized rows, bit for bit what
-        ``kernel_matrix(spec, xs, xs)`` gives.  Beside the linear Gram only the last
-        kernel's Gram and curvature table are kept: at most three n x n arrays."""
-        return self._kernel(spec)[1]
-
-    def curvature(self, spec: KernelSpec) -> np.ndarray:
-        """``T[i, t] = max((d_i + d_t) - K[i, t] * 2, _TAU)`` for ``spec``'s Gram ``K``
-        with diagonal ``d``: the curvature of an SMO step on pair (i, t), floored for
-        kernels that are not positive definite.  Its build makes one n x n temporary."""
-        return self._kernel(spec)[2]
+    def fit(self, spec: KernelSpec, c: float) -> tuple[np.ndarray, float, int]:
+        """Solve the dual for kernel ``spec`` and box ``c * unit_box``; return the
+        alphas of every training row, the bias and the number of pair updates.
+        Raises ``ValueError`` when ``c`` is not positive, and :class:`TrainingError`
+        when the KKT gap is still open after ``_MAX_ITER`` pair updates."""
+        if c <= 0:
+            raise ValueError(f"C must be positive, got {c}")
+        _, gram, table = self._kernel(spec)
+        return _smo(self, gram, table, c * self.unit_box)
 
     def _kernel(self, spec: KernelSpec) -> list:
+        """``[spec resolved, K, T]``: ``spec``'s Gram ``K`` over the standardized rows, bit
+        for bit what ``kernel_matrix(spec, xs, xs)`` gives, and its curvature table
+        ``T[i, t] = max((d_i + d_t) - K[i, t] * 2, _TAU)`` for the diagonal ``d`` of ``K``:
+        the curvature of an SMO step on pair (i, t), floored for kernels that are not
+        positive definite.  Beside the linear Gram only the last kernel's Gram and table
+        are kept, at most three n x n arrays; a table's build makes one n x n temporary."""
         spec = spec.resolve(self.xs.shape[1])
         if not self._last or self._last[0] != spec:
             self._last.clear()  # the last kernel's arrays go before the next one's are built
@@ -205,11 +209,11 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
 
     ``problem``, from :func:`fold_problem` on the same rows, labels and
     settings, lets a kernel/C grid share the checks, the standardization and
-    the linear Gram; without it the fit builds its own.  Training stops once
-    the KKT gap is below ``_TOL`` = 1e-3.  Raises :class:`TrainingError` when
-    a row is not finite, when only one class is present, or when the gap is
-    still open after ``_MAX_ITER`` pair updates, and ``ValueError`` when
-    ``problem`` was built from other rows, labels or settings.
+    the linear Gram; without it the fit builds its own.  :meth:`FoldProblem.fit`
+    solves the dual to a KKT gap below ``_TOL`` = 1e-3.  Raises :class:`TrainingError`
+    when a row is not finite, when only one class is present, or when the gap is
+    still open after ``_MAX_ITER`` pair updates, and ``ValueError`` when ``c`` is not
+    positive or ``problem`` was built from other rows, labels or settings.
     """
     if problem is None:
         problem = fold_problem(rows, labels, class_weights, positive_label)
@@ -217,16 +221,12 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
               and class_weights == problem.class_weight_mode
               and positive_label in (None, problem.positive_label)):
         raise ValueError("problem was built from other rows, labels or settings than this fit")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
-    spec = kernel.resolve(problem.xs.shape[1])
-    box = c * problem.unit_box
-    alphas, bias, iterations = _smo(problem, problem.gram(spec), problem.curvature(spec), box)
+    alphas, bias, iterations = problem.fit(kernel, c)
     keep = alphas > 1e-10
     return SvmModel(
-        kernel=spec, c=c, class_weights=dict(problem.class_weights),
+        kernel=kernel.resolve(problem.xs.shape[1]), c=c, class_weights=dict(problem.class_weights),
         support_vectors=problem.xs[keep], alphas=alphas[keep], sv_labels=problem.y[keep],
-        sv_box=box[keep], bias=bias,
+        sv_box=c * problem.unit_box[keep], bias=bias,
         feature_mean=problem.mean, feature_std=problem.std,
         negative_label=problem.negative_label, positive_label=problem.positive_label,
         iterations=iterations)

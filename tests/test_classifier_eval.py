@@ -156,7 +156,7 @@ class TestEvaluateFeatureSet:
     def test_single_class_training_fold_marked_failed(self):
         labels = np.array([0] * 10 + [1] * 40)
         assignments = np.array([0] * 5 + [1] * 5 + list(np.arange(40) % 5))
-        plan = FoldPlan(p=5, assignments=assignments, seed=0)
+        plan = FoldPlan(p=5, assignments=assignments)
         values = np.random.default_rng(8).standard_normal((50, 3))
         outcomes = evaluate_feature_set(values, labels, (0, 1), plan,
                                         EvalConfig(kernels=("linear",), c_grid=(1.0,)))
@@ -168,7 +168,7 @@ class TestEvaluateFeatureSet:
         # any TrainingError fails the fold, not only a single-class one: here every
         # fit needs more than two pair updates, so all four folds fail
         values, labels = planted_matrix(n=40, gap=1.0, seed=3)
-        plan = FoldPlan(p=4, assignments=np.arange(40) % 4, seed=0)
+        plan = FoldPlan(p=4, assignments=np.arange(40) % 4)
         config = EvalConfig(kernels=("linear",), c_grid=(1.0,))
         assert not any(o.failed for o in evaluate_feature_set(values, labels, (0, 2), plan, config))
         monkeypatch.setattr(svm_module, "_MAX_ITER", 2)
@@ -321,7 +321,7 @@ class TestPca:
     def test_unknown_kernel_rejected_even_when_every_fold_fails(self):
         labels = np.array([0] * 10 + [1] * 20)
         # with p=3 the train rows are one fold, and every fold holds one class
-        plan = FoldPlan(p=3, assignments=np.arange(30) // 10, seed=0)
+        plan = FoldPlan(p=3, assignments=np.arange(30) // 10)
         values = np.random.default_rng(8).standard_normal((30, 3))
         assert all(o.failed for o in pca_baseline(values, labels, plan, 2, EvalConfig()))
         with pytest.raises(ValueError, match="unknown kernel"):

@@ -164,12 +164,15 @@ class TestRecommend:
     def test_flag_overrides(self, planted_manifest, tmp_path):
         out = tmp_path / "runs"
         assert run_cli("recommend", planted_manifest, "--out", out, "--seed", 9,
-                       "--tau", 0.9, "--k", "5", "--max-level", 0, "--folds", 5) == 0
+                       "--tau", 0.9, "--k", "5", "--max-level", 0, "--folds", 5,
+                       "--metric", "f_score") == 0
         run_dir = next(out.iterdir())
         payload = json.loads((run_dir / "recommendation.json").read_text())
         assert payload["config"]["seed"] == 9
         assert payload["config"]["max_level_cap"] == 0
         assert payload["config"]["k_schedule"] == [5]
+        assert payload["config"]["metric"] == "f_score"
+        assert json.loads((run_dir / "metrics.json").read_text())["metric"] == "f_score"
 
 
 class TestRejectBeforeCompute:
@@ -324,10 +327,11 @@ class TestBaselinePca:
             **FAST_RECOMMEND, "pca": {"grid": [2, 5, 10], "kernel": "rbf"}}))
         out = tmp_path / "runs"
         assert run_cli("baseline-pca", planted_manifest, "--config", config,
-                       "--out", out) == 0
+                       "--seed", 11, "--out", out) == 0  # the flag overrides the config's seed 5
         run_dir = next(out.iterdir())
         payload = json.loads((run_dir / "metrics.json").read_text())
         assert payload["method"] == "pca"
+        assert payload["seed"] == 11
         assert 1 <= len(payload["runs"]) <= 3
         for block in payload["runs"]:
             assert set(block["metrics"]) == set(METRIC_NAMES)

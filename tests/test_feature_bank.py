@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import subprocess
@@ -459,12 +460,17 @@ def _steady_peaks(run, counts):
     A first run fills numpy's caches and the interpreter's free lists, which
     grow during a run and would count against whichever count runs first.  An
     untraced round of every count fills them at about a third of the cost of a
-    traced one, so the traced round that follows reads the steady state.
+    traced one, so the traced round that follows reads the steady state.  Each
+    traced round starts after a full collection.  Otherwise cyclic garbage left by
+    earlier tests is collected at whichever point of a round the collector runs,
+    and the difference between the two peaks moved by about 30 KB with the tests
+    that ran before.
     """
     for count in counts:
         run(count)
     peaks = {}
     for count in counts:
+        gc.collect()
         tracemalloc.start()
         try:
             result = run(count)
@@ -683,3 +689,22 @@ class TestDescribe:
         text = describe(descriptor)
         assert "detail band 3" in text
         assert "energy" in text
+
+    @pytest.mark.parametrize("lineage, text", [
+        (("dwt(db4)", "guarded_ratio", "energy(detail4)/energy(detail3)"),
+         "guarded ratio energy(detail4)/energy(detail3) within the DWT bands under db4"),
+        (("time", "guarded_ratio", "peak_count/trough_count"),
+         "guarded ratio peak_count/trough_count within the raw time series"),
+        (("stft", "guarded_ratio", "rolloff85_hz/spectral_centroid_hz"),
+         "guarded ratio rolloff85_hz/spectral_centroid_hz within the averaged STFT "
+         "magnitude spectrum"),
+        (("time", "d1", "zero_crossing_rate"),
+         "zero-crossing rate of the first difference of the time series"),
+        (("time", "d2", "hist_entropy"),
+         "amplitude histogram entropy of the second difference of the time series")])
+    def test_level2_descriptions(self, lineage, text):
+        frag = full_fragment(np.sin(np.arange(256) * 0.2),
+                             config=ExtractionConfig(wavelet_bank=("db4",)))
+        descriptor = next(d for d in frag.descriptors if d.lineage == lineage)
+        assert descriptor.level == 2
+        assert describe(descriptor) == text

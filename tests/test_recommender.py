@@ -526,6 +526,8 @@ class TestRefinement:
         assert rec.refined is not None
         assert rec.refined.skipped
         assert "exceeds c" in rec.refined.note
+        assert interpret(rec).splitlines()[-1] == (
+            f"Refinement: skipped: |Fe2|={len(rec.fe2.ids)} exceeds c=2")
 
     def test_recommend_refines_when_it_fits(self):
         rec = recommend(energy_split_records(seed=47), fast_config(c=6, k_schedule=(5,)))

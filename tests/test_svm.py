@@ -144,8 +144,9 @@ def _with_constant(rows, labels):
 
 
 class TestStepMatchesReference:
-    """``svm_train`` gives the alphas, bias and update count of the solver as it stood
-    before the curvature table, bit for bit (``oracles.smo_reference``)."""
+    """``FoldProblem.fit`` and ``svm_train`` give the alphas, bias and update count of
+    the solver as it stood before the curvature table, bit for bit
+    (``oracles.smo_reference``)."""
 
     @pytest.mark.parametrize("data", [
         (np.array([[0.0, 1.0], [1.0, 0.3], [0.2, 0.2], [0.9, 1.1]]), np.array([0, 0, 1, 1])),
@@ -156,6 +157,7 @@ class TestStepMatchesReference:
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
     def test_fits_equal_reference(self, kind, mode, data):
         rows, labels = data
+        problem = fold_problem(rows, labels, mode)
         at_box = 0
         for c in (0.1, 1.0, 10.0):
             model = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c, class_weights=mode)
@@ -169,7 +171,14 @@ class TestStepMatchesReference:
             assert model.support_vectors.tobytes() == xs[keep].tobytes(), c
             assert (model.bias, model.iterations) == (bias, iterations), c
             at_box += int(np.sum(model.alphas == model.sv_box))
+            # the fold problem's fit: every train row's alpha, not only the support vectors'
+            got, got_bias, got_iterations = problem.fit(KernelSpec(kind=kind), c)
+            assert got.tobytes() == alphas.tobytes(), c
+            assert (got_bias, got_iterations) == (bias, iterations), c
+            assert model.alphas.tobytes() == got[got > 1e-10].tobytes(), c
         assert at_box > 0  # some fit ends with alphas on the box
+        with pytest.raises(ValueError, match="C must be positive"):
+            problem.fit(KernelSpec(kind=kind), 0)
 
 
 def _model_fields(model):
@@ -187,14 +196,15 @@ class TestFoldProblem:
         rows = np.column_stack([rows, np.full(rows.shape[0], 7.0)])  # a zero-variance column
         problem = fold_problem(rows, labels)
         want = kernel_matrix(spec.resolve(rows.shape[1]), problem.xs, problem.xs)
-        got = problem.gram(spec)
+        resolved, got, table = problem._kernel(spec)
+        assert resolved == spec.resolve(rows.shape[1])
         assert got.tobytes() == want.tobytes()
-        assert problem.gram(spec) is got  # asked again, the Gram is not rebuilt
-        table, diag = problem.curvature(spec), want.diagonal()
+        diag = want.diagonal()
         for i in range(len(want)):  # the curvature passes the solver made per step before
             row = np.maximum((diag + diag[i]) - want[i] * 2.0, svm._TAU)
             assert table[i].tobytes() == row.tobytes(), i
-        assert problem.curvature(spec) is table
+        again = problem._kernel(spec)  # asked again, the Gram and table are not rebuilt
+        assert again[1] is got and again[2] is table
 
     def test_problem_holds_at_most_three_square_arrays(self, monkeypatch):
         rows, labels = _overlapping(40, 7)
@@ -223,7 +233,7 @@ class TestFoldProblem:
         problem = fold_problem(rows, labels)
         tracemalloc.start()
         try:
-            problem.curvature(KernelSpec(kind="linear"))  # the linear Gram exists already
+            problem._kernel(KernelSpec(kind="linear"))  # the linear Gram exists already
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
