@@ -16,7 +16,8 @@ from .dataset import FoldPlan, fold_roles
 from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
                      real_setting, require_int, store)
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics, confusion_metrics
-from .svm import KERNEL_KINDS, KernelSpec, SvmModel, _decision, fold_problem, svm_predict, svm_train
+from .svm import (KERNEL_KINDS, KernelSpec, SvmModel, _decision, fold_problem, svm_predict,
+                  svm_train, train_labels)
 
 
 @dataclass(frozen=True)
@@ -82,24 +83,42 @@ class FoldOutcome:
         return self.model is None
 
 
-def _fit_fold(plan: FoldPlan, fold: int, rows, labels, config: EvalConfig,
+def fold_setups(labels, plan: FoldPlan, config: EvalConfig) -> list[tuple]:
+    """What each fold's evaluations share whatever their columns, from the plan, labels
+    and config alone: the train and eval indices, the train rows' label set-up (None
+    when they hold one class, so that every evaluation fails) and the eval positive mask."""
+    labels = np.asarray(labels)
+    setups = []
+    for fold in range(plan.p):
+        train_idx, eval_idx, _ = fold_roles(plan, fold)
+        try:
+            train = train_labels(labels[train_idx], config.class_weight_mode, config.positive_class)
+        except TrainingError:
+            train = None
+        setups.append((train_idx, eval_idx, train,
+                       None if train is None else labels[eval_idx] == train.positive_label))
+    return setups
+
+
+def _fit_fold(fold: int, setup: tuple, rows, config: EvalConfig,
               specs: list[KernelSpec], feature_ids: tuple[int, ...]) -> FoldOutcome:
     """Fit every kernel/C pair on the fold's train rows; the best evaluation-row
     metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
-    Once per fold: the shared :class:`~widefeat.svm.FoldProblem` (which picks the
-    positive label), the eval rows standardized by its mean and std with their
-    positive mask, and each kernel's spec, Gram and curvature table.  Per fit: the
-    SMO solve, the decision values on those rows and the confusion counts."""
-    train_idx, eval_idx, _ = fold_roles(plan, fold)
-    x_train, y_train = rows(train_idx), labels[train_idx]
-    x_eval, y_eval = rows(eval_idx), labels[eval_idx]
+    Once per fold: the shared :class:`~widefeat.svm.FoldProblem`, the eval rows
+    standardized by its mean and std, and each kernel's spec, Gram and curvature
+    table.  Per fit: the SMO solve (or a smaller C's box-free one), the decision
+    values on those rows and the confusion counts."""
+    train_idx, eval_idx, train, actual = setup  # from fold_setups
     best = (-np.inf, None, None)  # (score, model, report)
     try:
-        problem = fold_problem(x_train, y_train, config.class_weight_mode, config.positive_class)
-        xs_eval, actual = (x_eval - problem.mean) / problem.std, y_eval == problem.positive_label
+        if train is None:
+            raise TrainingError("need exactly two classes in training rows")
+        x_train = rows(train_idx)
+        problem = fold_problem(x_train, train)
+        xs_eval = (rows(eval_idx) - problem.mean) / problem.std
         for spec in (s.resolve(problem.xs.shape[1]) for s in specs):
             for c in config.c_grid:
-                model = svm_train(x_train, y_train, kernel=spec, c=c,
+                model = svm_train(x_train, train.values, kernel=spec, c=c,
                                   class_weights=config.class_weight_mode, problem=problem)
                 report = confusion_metrics(_decision(model, xs_eval) >= 0.0, actual)
                 score = report.value(config.metric)
@@ -119,8 +138,8 @@ def _with_test_report(outcome: FoldOutcome, test_rows, test_labels) -> FoldOutco
     return replace(outcome, test_report=report)
 
 
-def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
-                         config: EvalConfig) -> list[FoldOutcome]:
+def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: EvalConfig, *,
+                         setups: list[tuple] | None = None) -> list[FoldOutcome]:
     """Train and score an SVM on the given feature columns for every fold.
 
     The columns are fit in ascending id order, so the outcomes do not depend
@@ -130,6 +149,8 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
     until :func:`score_test_rows` adds one.  A fold whose training raises
     :class:`TrainingError` is marked failed: its training rows hold one class or a
     non-finite value, or a fit is short of the KKT gap after ``svm._MAX_ITER`` updates.
+    ``setups``, from :func:`fold_setups` on the same labels, plan and config, lets
+    a run's feature sets share each fold's label set-up; without it the call builds its own.
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
@@ -140,9 +161,10 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan,
         raise ValueError(f"feature ids {feature_ids} repeat a column")
     if any(not 0 <= i < values.shape[1] for i in feature_ids):
         raise ValueError(f"feature ids {feature_ids} outside matrix columns")
-    return [_fit_fold(plan, fold, lambda idx: values[np.ix_(idx, feature_ids)], labels,
+    setups = fold_setups(labels, plan, config) if setups is None else setups
+    return [_fit_fold(fold, setup, lambda idx: values[np.ix_(idx, feature_ids)],
                       config, config.kernel_specs(), feature_ids)
-            for fold in range(plan.p)]
+            for fold, setup in enumerate(setups)]
 
 
 def score_test_rows(outcomes, matrix, labels, plan: FoldPlan) -> list[FoldOutcome]:
@@ -192,7 +214,7 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
     all_ids = tuple(range(values.shape[1]))
 
     outcomes = []
-    for fold in range(plan.p):
+    for fold, setup in enumerate(fold_setups(labels, plan, config)):
         train_idx, _, test_idx = fold_roles(plan, fold)
         mean = values[train_idx].mean(axis=0)
         std = values[train_idx].std(axis=0)
@@ -202,6 +224,6 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
         def project(idx):
             return ((values[idx] - mean) / std) @ components.T
 
-        outcome = _fit_fold(plan, fold, project, labels, config, [spec], all_ids)
+        outcome = _fit_fold(fold, setup, project, config, [spec], all_ids)
         outcomes.append(_with_test_report(outcome, project(test_idx), labels[test_idx]))
     return outcomes

@@ -196,8 +196,9 @@ def cmd_baseline_pca(args) -> int:
     plan = make_folds(records, config.p, config.seed)
     matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
 
+    # centered train rows have rank at most min_train - 1; a component past it is noise
     min_train = min(fold_roles(plan, f)[0].size for f in range(plan.p))
-    cap = min(matrix.n_features, min_train)
+    cap = min(matrix.n_features, min_train - 1)
     runs = []
     for n in grid:
         n_eff = min(n, cap)

@@ -124,7 +124,7 @@ class FeatureMatrix:
             writer = csv.writer(fh)
             writer.writerow(["record_id"] + [d.name for d in self.descriptors])
             for rid, row in zip(self.record_ids, self.values):
-                writer.writerow([rid] + [repr(float(v)) for v in row])
+                writer.writerow([rid, *map(repr, row.tolist())])
 
     def descriptors_to_json(self, path) -> None:
         write_json(path, {"descriptors": [

@@ -9,8 +9,9 @@ those runs (a greedy selector updates its sums only after a pick, so the
 prefix equals a run stopped at k); their union forms a candidate set, and
 candidates are scored on evaluation rows across all folds; each distinct id
 set is evaluated once per run, however many steps or refinement subsets
-propose it.  The first candidate meeting the target metric in every fold
-stops the loop, so cheap features win whenever they suffice.  Test rows stay
+propose it, and each fold's label set-up is built once for them all.  The
+first candidate meeting the target metric in every fold stops the loop, so
+cheap features win whenever they suffice.  Test rows stay
 untouched until Fe1 and Fe2 are frozen; their test metrics then come from the
 fold models kept by the evaluation pass, with no refit.
 """
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .classifier_eval import EvalConfig, FoldOutcome, evaluate_feature_set, score_test_rows
+from .classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set, fold_setups,
+                              score_test_rows)
 from .dataset import MAX_FOLDS, MIN_FOLDS, FoldPlan, binary_labels, make_folds
 from .errors import (ConfigError, RunError, flat_dict, json_value, known_keys, list_setting,
                      real_setting, require_int, store, write_json)
@@ -236,11 +238,13 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
     memos = [_CrossClassGaps(matrix.values[rows], labels[rows]) for rows in fold_rows]
 
     outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # per id set, ids ascending
+    setups = fold_setups(labels, plan, config.evaluation)
 
     def evaluate(ids) -> list[FoldOutcome]:
         key = tuple(sorted(ids))
         if key not in outcomes:
-            outcomes[key] = evaluate_feature_set(matrix, labels, key, plan, config.evaluation)
+            outcomes[key] = evaluate_feature_set(matrix, labels, key, plan, config.evaluation,
+                                                 setups=setups)
         return outcomes[key]
 
     trace: list[TraceStep] = []

@@ -9,13 +9,19 @@ when the KKT gap -- the largest violation by any pair -- falls below ``_TOL`` = 
 Per-sample box constraints carry the class weights, so imbalanced data can
 penalize minority errors harder.
 
-The checks, the standardization, the linear Gram ``Xs Xsᵀ`` and the solver's
-label set-up depend only on the training rows: a :class:`FoldProblem` holds
-them once per fold and feature set for the whole kernel/C grid, and its
-:meth:`FoldProblem.fit` builds only a fit's box, alphas and gradient.  The rbf and
-poly Grams are derived from the linear one with :func:`kernel_matrix`'s expressions,
-bit for bit.  Beside each kernel's Gram it keeps the table of WSS2's pair curvatures,
-which depend on the kernel alone: a kernel's C values share it, and a step reads one row.
+The solver's label set-up depends only on the training labels (:class:`TrainLabels`, once
+per fold); the checks, the standardization and the linear Gram ``Xs Xsᵀ`` on the rows
+too: a :class:`FoldProblem` holds them once per fold and feature set for the whole
+kernel/C grid, and its :meth:`FoldProblem.fit` builds only a fit's box, alphas and
+gradient.  The rbf and poly Grams are derived from the linear one with :func:`kernel_matrix`'s
+expressions, bit for bit.  Beside each kernel's Gram it keeps the table of WSS2's pair
+curvatures, which depend on the kernel alone: its C values share it, and a step reads one row.
+
+A solve in which no alpha ever reaches its box answers every larger C of its kernel.
+The box enters SMO only through the box-side rooms of a step, the clip to the box and
+the below-the-box masks, and the start state does not depend on C; while every alpha
+stays below the box, a larger one changes none of them, so the solve makes the same
+float operations in the same order, with the same alphas, bias and update count.
 """
 
 from __future__ import annotations
@@ -96,6 +102,22 @@ class SvmModel:
 
 
 @dataclass(frozen=True, eq=False)
+class TrainLabels:
+    """A fit's label set-up, from the training labels and settings alone: :func:`train_labels`."""
+    values: np.ndarray  # the training labels
+    class_weight_mode: str
+    class_weights: dict[int, float]
+    negative_label: int
+    positive_label: int
+    y: np.ndarray  # +/-1
+    unit_box: np.ndarray  # per-row class weight; a fit's box is C * unit_box
+    signs: list[float]  # _smo's label set-up: y and y > 0 as lists, and the initial masks
+    is_pos: list[bool]
+    up: np.ndarray
+    low: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class FoldProblem:
     """What every fit on one set of training rows shares, whatever its kernel and C.
 
@@ -103,33 +125,32 @@ class FoldProblem:
     is the Gram ``xs @ xs.T`` of the standardized rows; the rbf and poly Grams derive from it.
     """
     rows: np.ndarray  # the training rows, as floats
-    labels: np.ndarray
-    class_weight_mode: str
-    class_weights: dict[int, float]
-    negative_label: int
-    positive_label: int
+    labels: TrainLabels
     mean: np.ndarray
     std: np.ndarray
     xs: np.ndarray  # standardized rows
-    y: np.ndarray  # +/-1
-    unit_box: np.ndarray  # per-row class weight; a fit's box is C * unit_box
     linear: np.ndarray
     sq_norms: np.ndarray
-    signs: list[float]  # _smo's label set-up: y and y > 0 as lists, and the initial masks
-    is_pos: list[bool]
-    up: np.ndarray
-    low: np.ndarray
     _last: list = field(default_factory=list, init=False, repr=False)  # [spec, Gram, table]
+    _free: list = field(default_factory=list, init=False, repr=False)  # box-free solve
 
     def fit(self, spec: KernelSpec, c: float) -> tuple[np.ndarray, float, int]:
         """Solve the dual for kernel ``spec`` and box ``c * unit_box``; return the
-        alphas of every training row, the bias and the number of pair updates.
+        alphas of every training row, the bias and the number of pair updates.  The kernel's
+        last solve in which no alpha reached its box answers any ``c`` at least as large, bit
+        for bit (module docstring); those fits share its alphas, so they are read-only.
         Raises ``ValueError`` when ``c`` is not positive, and :class:`TrainingError`
         when the KKT gap is still open after ``_MAX_ITER`` pair updates."""
         if c <= 0:
             raise ValueError(f"C must be positive, got {c}")
-        _, gram, table = self._kernel(spec)
-        return _smo(self, gram, table, c * self.unit_box)
+        spec, gram, table = self._kernel(spec)
+        if self._free and self._free[0] == spec and c >= self._free[1]:
+            return self._free[2]
+        alphas, bias, iterations, at_box = _smo(self, gram, table, c * self.labels.unit_box)
+        if not at_box:
+            alphas.flags.writeable = False
+            self._free[:] = [spec, c, (alphas, bias, iterations)]
+        return alphas, bias, iterations
 
     def _kernel(self, spec: KernelSpec) -> list:
         """``[spec resolved, K, T]``: ``spec``'s Gram ``K`` over the standardized rows, bit
@@ -150,7 +171,7 @@ class FoldProblem:
 
     def built_from(self, rows: np.ndarray, labels: np.ndarray) -> bool:
         return ((rows is self.rows or np.array_equal(rows, self.rows))
-                and (labels is self.labels or np.array_equal(labels, self.labels)))
+                and (labels is self.labels.values or np.array_equal(labels, self.labels.values)))
 
 
 def _class_weights(classes: np.ndarray, counts: np.ndarray, mode: str) -> dict[int, float]:
@@ -162,20 +183,11 @@ def _class_weights(classes: np.ndarray, counts: np.ndarray, mode: str) -> dict[i
     raise ValueError(f"unsupported class weight mode {mode!r}")
 
 
-def fold_problem(rows, labels, class_weights: str = "balanced",
-                 positive_label: int | None = None) -> FoldProblem:
-    """Check and standardize ``rows`` (records x features) for :func:`svm_train`.
-
-    Standardization statistics come from these rows only; zero-variance
-    columns standardize to constant 0.  Raises :class:`TrainingError` when a
-    row is not finite or when only one class is present.
-    """
-    x = np.asarray(rows, dtype=float)
+def train_labels(labels, class_weights: str = "balanced",
+                 positive_label: int | None = None) -> TrainLabels:
+    """The label set-up of fits on rows labelled ``labels``.  Raises :class:`TrainingError`
+    when only one class is present, and ``ValueError`` when ``positive_label`` is absent."""
     labels = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != labels.size:
-        raise ValueError("rows must be 2-D with one label per row")
-    if not np.isfinite(x).all():
-        raise TrainingError("training rows hold NaN or Inf")
     classes, counts = np.unique(labels, return_counts=True)
     if classes.size != 2:
         raise TrainingError(f"need exactly two classes in training rows, got {classes.tolist()}")
@@ -185,21 +197,31 @@ def fold_problem(rows, labels, class_weights: str = "balanced",
         raise ValueError(f"positive label {positive_label} not present in training labels")
     negative_label = int(classes[classes != positive_label][0])
     weights = _class_weights(classes, counts, class_weights)
+    is_pos = labels == positive_label
+    y = np.where(is_pos, 1.0, -1.0)
+    return TrainLabels(
+        values=labels, class_weight_mode=class_weights, class_weights=weights,
+        negative_label=negative_label, positive_label=positive_label, y=y,
+        unit_box=np.where(is_pos, weights[positive_label], weights[negative_label]),
+        signs=y.tolist(), is_pos=is_pos.tolist(),
+        up=np.where(is_pos, 0.0, -np.inf), low=np.where(is_pos, -np.inf, 0.0))
 
+
+def fold_problem(rows, labels: TrainLabels) -> FoldProblem:
+    """Check and standardize ``rows`` (records x features) for :func:`svm_train`, with
+    statistics from these rows only; zero-variance columns standardize to constant 0.
+    Raises :class:`TrainingError` when a row is not finite."""
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[0] != labels.values.size:
+        raise ValueError("rows must be 2-D with one label per row")
+    if not np.isfinite(x).all():
+        raise TrainingError("training rows hold NaN or Inf")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
     xs = (x - mean) / std
-    is_pos = labels == positive_label
-    y = np.where(is_pos, 1.0, -1.0)
-    return FoldProblem(
-        rows=x, labels=labels, class_weight_mode=class_weights, class_weights=weights,
-        negative_label=negative_label, positive_label=positive_label,
-        mean=mean, std=std, xs=xs, y=y,
-        unit_box=np.where(is_pos, weights[positive_label], weights[negative_label]),
-        linear=xs @ xs.T, sq_norms=_sq_norms(xs),
-        signs=y.tolist(), is_pos=is_pos.tolist(),
-        up=np.where(is_pos, 0.0, -np.inf), low=np.where(is_pos, -np.inf, 0.0))
+    return FoldProblem(rows=x, labels=labels, mean=mean, std=std, xs=xs,
+                       linear=xs @ xs.T, sq_norms=_sq_norms(xs))
 
 
 def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
@@ -216,34 +238,37 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
     positive or ``problem`` was built from other rows, labels or settings.
     """
     if problem is None:
-        problem = fold_problem(rows, labels, class_weights, positive_label)
+        problem = fold_problem(rows, train_labels(labels, class_weights, positive_label))
     elif not (problem.built_from(np.asarray(rows, dtype=float), np.asarray(labels))
-              and class_weights == problem.class_weight_mode
-              and positive_label in (None, problem.positive_label)):
+              and class_weights == problem.labels.class_weight_mode
+              and positive_label in (None, problem.labels.positive_label)):
         raise ValueError("problem was built from other rows, labels or settings than this fit")
     alphas, bias, iterations = problem.fit(kernel, c)
     keep = alphas > 1e-10
+    train = problem.labels
     return SvmModel(
-        kernel=kernel.resolve(problem.xs.shape[1]), c=c, class_weights=dict(problem.class_weights),
-        support_vectors=problem.xs[keep], alphas=alphas[keep], sv_labels=problem.y[keep],
-        sv_box=c * problem.unit_box[keep], bias=bias,
+        kernel=kernel.resolve(problem.xs.shape[1]), c=c, class_weights=dict(train.class_weights),
+        support_vectors=problem.xs[keep], alphas=alphas[keep], sv_labels=train.y[keep],
+        sv_box=c * train.unit_box[keep], bias=bias,
         feature_mean=problem.mean, feature_std=problem.std,
-        negative_label=problem.negative_label, positive_label=problem.positive_label,
+        negative_label=train.negative_label, positive_label=train.positive_label,
         iterations=iterations)
 
 
 def _smo(problem: FoldProblem, gram: np.ndarray, table: np.ndarray,
-         box: np.ndarray) -> tuple[np.ndarray, float, int]:
+         box: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
     """Solve the dual for ``gram``, its curvature ``table``, ``problem``'s labels and
-    per-row upper bounds ``box``; return the alphas, the bias and the number of pair
-    updates.  A step makes 12 passes over arrays; its scalars are Python floats."""
-    y, pos, sign_of = problem.y, problem.is_pos, problem.signs
+    per-row upper bounds ``box``; return the alphas, the bias, the number of pair
+    updates and whether an alpha reached its box on the way.  A step makes 12 passes
+    over arrays; its scalars are Python floats."""
+    y, pos, sign_of = problem.labels.y, problem.labels.is_pos, problem.labels.signs
     box_at = box.tolist()
     alphas = [0.0] * y.size  # only rows i and j are read or written in a step
+    at_box = False
     yg = y.copy()  # -y * gradient of the dual objective; the gradient starts at -1
     # additive masks, 0 where a row can move that way and -inf where it cannot:
     # i comes from the rows whose y * alpha can go up, j from those where it can go down
-    up, low = problem.up.copy(), problem.low.copy()
+    up, low = problem.labels.up.copy(), problem.labels.low.copy()
     score, row = np.empty(y.size), np.empty(y.size)
     for iterations in range(_MAX_ITER):
         np.add(yg, up, out=score)
@@ -269,6 +294,7 @@ def _smo(problem: FoldProblem, gram: np.ndarray, table: np.ndarray,
             end = box_at[t] if sign > 0.0 else 0.0
             a = end if step == room else min(max(alphas[t] + sign * step, 0.0), box_at[t])
             alphas[t] = a
+            at_box = at_box or a == box_at[t]
             up[t] = 0.0 if (a < box_at[t] if pos[t] else a > 0.0) else -np.inf
             low[t] = 0.0 if (a > 0.0 if pos[t] else a < box_at[t]) else -np.inf
         np.subtract(gram[i], gram[j], out=row)
@@ -278,7 +304,7 @@ def _smo(problem: FoldProblem, gram: np.ndarray, table: np.ndarray,
         raise TrainingError(f"SMO did not reach KKT gap {_TOL:g} in {_MAX_ITER} iterations")
     # any bias between max(yg over up) and min(yg over low) meets the KKT
     # conditions; the midpoint keeps every violation under _TOL / 2
-    return np.asarray(alphas), float(0.5 * (yg_i - top)), iterations
+    return np.asarray(alphas), float(0.5 * (yg_i - top)), iterations, at_box
 
 
 def _decision(model: SvmModel, xs: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 import widefeat.classifier_eval as classifier_eval_module
 import widefeat.svm as svm_module
-from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca,
+from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca, fold_setups,
                                       pca_baseline, score_test_rows)
 from widefeat.dataset import FoldPlan, SignalRecord, fold_roles, make_folds
 from widefeat.errors import ConfigError
@@ -29,6 +29,10 @@ def planted_matrix(n=50, n_features=6, gap=6.0, seed=0, period=2):
     values = rng.standard_normal((n, n_features))
     values[:, 2] = labels * gap + 0.3 * rng.standard_normal(n)
     return values, labels
+
+
+def _model_fields(model):
+    return {name: getattr(model, name) for name in model.__dataclass_fields__}
 
 
 def recording(fn, into):
@@ -163,6 +167,29 @@ class TestEvaluateFeatureSet:
         # fold 0 excludes folds {0, 1}, which hold every class-0 record
         assert outcomes[0].failed
         assert sum(o.failed for o in outcomes) == 1
+
+    @pytest.mark.parametrize("positive", [None, 0])
+    def test_shared_fold_setups_give_identical_outcomes(self, positive):
+        # fold 0's train rows hold one class, so it fails with or without the shared set-up
+        labels = np.array([0] * 10 + [1] * 40)
+        plan = FoldPlan(p=5, assignments=np.array([0] * 5 + [1] * 5 + list(np.arange(40) % 5)))
+        values = np.random.default_rng(9).standard_normal((50, 5))
+        values[:, 2] += 1.5 * labels
+        config = EvalConfig(positive_class=positive)
+        setups = fold_setups(labels, plan, config)
+        assert setups[0][2] is None and all(s[2] is not None for s in setups[1:])
+        for ids in ((2,), (0, 2), (1, 2, 4)):
+            own = evaluate_feature_set(values, labels, ids, plan, config)
+            shared = evaluate_feature_set(values, labels, ids, plan, config, setups=setups)
+            assert [o.failed for o in shared] == [True] + [False] * 4
+            assert own == shared  # fold, eval report and ids; the models are compared below
+            for a, b in zip(own[1:], shared[1:]):
+                got, want = _model_fields(b.model), _model_fields(a.model)
+                for name, value in want.items():
+                    if isinstance(value, np.ndarray):
+                        assert got[name].tobytes() == value.tobytes(), name
+                    else:
+                        assert got[name] == value, name
 
     def test_fold_whose_fit_hits_the_iteration_cap_marked_failed(self, monkeypatch):
         # any TrainingError fails the fold, not only a single-class one: here every

@@ -8,7 +8,7 @@ from conftest import sine_records, write_csv_dataset, write_wav
 from widefeat import cli, recommender
 from widefeat.classifier_eval import FoldOutcome
 from widefeat.cli import main
-from widefeat.dataset import SignalRecord
+from widefeat.dataset import SignalRecord, fold_roles, load_dataset, load_manifest, make_folds
 from widefeat.errors import write_json
 from widefeat.metrics import METRIC_NAMES
 
@@ -31,7 +31,7 @@ FAST_RECOMMEND = {
 }
 
 
-def all_folds_failed(matrix, labels, ids, plan, config):
+def all_folds_failed(matrix, labels, ids, plan, config, *, setups=None):
     return [FoldOutcome(fold=f, eval_report=None, test_report=None,
                         feature_ids=tuple(ids))
             for f in range(plan.p)]
@@ -335,6 +335,18 @@ class TestBaselinePca:
         assert 1 <= len(payload["runs"]) <= 3
         for block in payload["runs"]:
             assert set(block["metrics"]) == set(METRIC_NAMES)
+
+    def test_components_capped_below_train_rank(self, planted_manifest, tmp_path):
+        # centered train rows have rank at most min_train - 1, so a larger count is clamped to it
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**FAST_RECOMMEND, "pca": {"grid": [5, 10_000]}}))
+        out = tmp_path / "runs"
+        assert run_cli("baseline-pca", planted_manifest, "--config", config, "--out", out) == 0
+        plan = make_folds(load_dataset(load_manifest(planted_manifest)),
+                          FAST_RECOMMEND["p"], FAST_RECOMMEND["seed"])
+        min_train = min(fold_roles(plan, fold)[0].size for fold in range(plan.p))
+        payload = json.loads((next(out.iterdir()) / "metrics.json").read_text())
+        assert [run["n_components"] for run in payload["runs"]] == [5, min_train - 1]
 
     def test_schema_matches_recommend_metrics(self, planted_manifest, tmp_path):
         config = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import pytest
 
 import widefeat.classifier_eval as classifier_eval_module
 import widefeat.recommender as recommender_module
+import widefeat.svm as svm_module
 from conftest import (amplitude_shape_records, score_garbled_test_rows, sine_records,
                       write_csv_dataset)
 from widefeat.classifier_eval import (EvalConfig, FoldOutcome, evaluate_feature_set,
@@ -372,7 +373,7 @@ class TestTraceAndSets:
             np.testing.assert_array_equal(got, want)
 
     def test_all_folds_failed_raises_run_error(self, monkeypatch):
-        def all_failed(matrix, labels, ids, plan, config):
+        def all_failed(matrix, labels, ids, plan, config, *, setups=None):
             return [FoldOutcome(fold=f, eval_report=None, test_report=None,
                                 feature_ids=tuple(ids))
                     for f in range(plan.p)]
@@ -410,6 +411,31 @@ class TestEvaluationOncePerSet:
         assert sorted(evaluated) == sorted({tuple(sorted(ids)) for ids in proposed + subsets})
         grid = len(FAST_EVAL.kernels) * len(FAST_EVAL.c_grid)
         assert len(fits) == config.p * grid * len(evaluated)
+
+    def test_fold_label_setup_built_once_per_run(self, monkeypatch):
+        built, setups_seen = [], []
+        train_labels = svm_module.train_labels
+
+        def counted_labels(*args, **kwargs):
+            built.append(1)
+            return train_labels(*args, **kwargs)
+
+        def seen_evaluate(*args, **kwargs):
+            setups_seen.append(kwargs["setups"])
+            return evaluate_feature_set(*args, **kwargs)
+
+        monkeypatch.setattr(classifier_eval_module, "train_labels", counted_labels)
+        monkeypatch.setattr(svm_module, "train_labels", counted_labels)
+        monkeypatch.setattr(recommender_module, "evaluate_feature_set", seen_evaluate)
+        # tau above 1 runs every level, and c=3 refines the 3-feature Fe2
+        rec = recommend(energy_split_records(), fast_config(tau=1.01, k_schedule=(3,), c=3))
+        assert len(setups_seen) > 7  # fixture sanity: refinement alone scores 7 subsets
+        assert len(built) == rec.plan.p
+        assert all(s is setups_seen[0] for s in setups_seen)
+        for fold, (train_idx, eval_idx, *_) in enumerate(setups_seen[0]):
+            want_train, want_eval, _ = fold_roles(rec.plan, fold)
+            assert np.array_equal(train_idx, want_train)
+            assert np.array_equal(eval_idx, want_eval)
 
     def test_test_reports_equal_a_refit(self):
         records = energy_split_records(seed=23)

@@ -12,7 +12,7 @@ from widefeat.dataset import fold_roles, make_folds
 from widefeat.errors import TrainingError
 from widefeat.feature_bank import ExtractionConfig, build_feature_matrix
 from widefeat.svm import (KernelSpec, decision_function, fold_problem, kernel_matrix, svm_predict,
-                          svm_train)
+                          svm_train, train_labels)
 
 
 def separable_blobs(n_per=20, gap=4.0, seed=0):
@@ -157,7 +157,7 @@ class TestStepMatchesReference:
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
     def test_fits_equal_reference(self, kind, mode, data):
         rows, labels = data
-        problem = fold_problem(rows, labels, mode)
+        problem = fold_problem(rows, train_labels(labels, mode))
         at_box = 0
         for c in (0.1, 1.0, 10.0):
             model = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c, class_weights=mode)
@@ -181,6 +181,71 @@ class TestStepMatchesReference:
             problem.fit(KernelSpec(kind=kind), 0)
 
 
+class TestBoxFreeReuse:
+    """``FoldProblem.fit`` returns the kernel's last solve in which no alpha reached its box,
+    unsolved, for any C at least as large; every fit, reused or not, must equal a fresh
+    problem's and ``oracles.smo_reference`` bit for bit."""
+    GRIDS = {"ascending": (0.1, 1.0, 10.0), "descending": (10.0, 1.0, 0.1),
+             "repeated": (1.0, 1.0, 10.0, 0.1, 10.0, 1.0)}
+    DATA = {"separable12": separable_blobs(n_per=6, gap=3.0, seed=3),
+            "separable40": separable_blobs(),
+            "n4": (np.array([[0.0, 1.0], [1.0, 0.3], [0.2, 0.2], [0.9, 1.1]]),
+                   np.array([0, 0, 1, 1])),
+            "overlapping": _overlapping(40, 24)}
+
+    @staticmethod
+    def order(grid):
+        """Kernel by kernel, then C by C, so that the kernel also changes between fits of one C."""
+        return ([(kind, c) for kind in svm.KERNEL_KINDS for c in grid]
+                + [(kind, c) for c in grid for kind in svm.KERNEL_KINDS])
+
+    @pytest.mark.parametrize("name", DATA)
+    @pytest.mark.parametrize("mode", ["balanced", "none"])
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    def test_shared_fits_equal_fresh_and_reference(self, grid, mode, name):
+        rows, labels = self.DATA[name]
+        counts = {v: int(np.sum(labels == v)) for v in (0, 1)}
+        weight = {v: labels.size / (2 * counts[v]) if mode == "balanced" else 1.0
+                  for v in (0, 1)}
+        y = np.where(labels == 1, 1.0, -1.0)
+        problem = fold_problem(rows, train_labels(labels, mode))
+        for kind, c in self.order(grid):
+            spec = KernelSpec(kind=kind)
+            got = problem.fit(spec, c)
+            fresh = fold_problem(rows, train_labels(labels, mode)).fit(spec, c)
+            gram = kernel_matrix(spec.resolve(rows.shape[1]), problem.xs, problem.xs)
+            want = oracles.smo_reference(gram, y, np.array([c * weight[int(v)] for v in labels]))
+            for other in (fresh, want):
+                assert got[0].tobytes() == other[0].tobytes(), (kind, c)
+                assert got[1:] == other[1:], (kind, c)
+
+    def test_only_box_free_solves_are_reused(self, monkeypatch):
+        solves = []  # (kind, c, alphas, reached the box) of every _smo call
+        current = []
+        solve = svm._smo
+
+        def spy(*args):
+            result = solve(*args)
+            solves.append((*current, result[0], result[3]))
+            return result
+
+        monkeypatch.setattr(svm, "_smo", spy)
+        reused = at_box = 0
+        for rows, labels in self.DATA.values():
+            problem = fold_problem(rows, train_labels(labels))
+            for kind, c in self.order(self.GRIDS["repeated"]):
+                current[:] = [kind, c]
+                before = len(solves)
+                alphas = problem.fit(KernelSpec(kind=kind), c)[0]
+                if len(solves) > before:
+                    at_box += solves[-1][3]
+                    continue
+                (source,) = [s for s in solves if s[2] is alphas]
+                assert source[0] == kind and source[1] <= c and not source[3], (kind, c)
+                reused += 1
+        assert reused >= 10 and at_box >= 10  # fixture sanity: both kinds of solve occur
+
+
 def _model_fields(model):
     return {name: getattr(model, name) for name in model.__dataclass_fields__}
 
@@ -194,7 +259,7 @@ class TestFoldProblem:
     def test_gram_is_bit_identical_to_kernel_matrix(self, spec):
         rows, labels = _overlapping(30, 3)
         rows = np.column_stack([rows, np.full(rows.shape[0], 7.0)])  # a zero-variance column
-        problem = fold_problem(rows, labels)
+        problem = fold_problem(rows, train_labels(labels))
         want = kernel_matrix(spec.resolve(rows.shape[1]), problem.xs, problem.xs)
         resolved, got, table = problem._kernel(spec)
         assert resolved == spec.resolve(rows.shape[1])
@@ -208,7 +273,7 @@ class TestFoldProblem:
 
     def test_problem_holds_at_most_three_square_arrays(self, monkeypatch):
         rows, labels = _overlapping(40, 7)
-        problem = fold_problem(rows, labels)
+        problem = fold_problem(rows, train_labels(labels))
         seen = []  # per fit: the table it read and the n x n arrays the problem held
         solve = svm._smo
 
@@ -230,7 +295,7 @@ class TestFoldProblem:
 
     def test_table_build_makes_one_square_temporary(self):
         rows, labels = _overlapping(300, 8)
-        problem = fold_problem(rows, labels)
+        problem = fold_problem(rows, train_labels(labels))
         tracemalloc.start()
         try:
             problem._kernel(KernelSpec(kind="linear"))  # the linear Gram exists already
@@ -243,7 +308,7 @@ class TestFoldProblem:
     @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
     def test_shared_problem_fits_equal_plain_fits(self, kind):
         rows, labels = _overlapping(40, 4)
-        problem = fold_problem(rows, labels, "balanced", 1)
+        problem = fold_problem(rows, train_labels(labels, "balanced", 1))
         for c in (0.1, 1.0, 10.0):
             shared = svm_train(rows, labels, kernel=KernelSpec(kind=kind), c=c,
                                positive_label=1, problem=problem)
@@ -258,7 +323,7 @@ class TestFoldProblem:
 
     def test_problem_from_other_rows_rejected(self):
         rows, labels = _overlapping(40, 5)
-        problem = fold_problem(rows, labels)
+        problem = fold_problem(rows, train_labels(labels))
         with pytest.raises(ValueError, match="problem was built from other"):
             svm_train(rows[:, :3], labels, problem=problem)
         with pytest.raises(ValueError, match="problem was built from other"):
@@ -273,7 +338,7 @@ class TestFoldProblem:
         # rows themselves tell one fold's problem from the other's
         rows, labels = _overlapping(40, 6)
         first, second = np.arange(0, 30), np.arange(10, 40)
-        problem = fold_problem(rows[first], labels[first])
+        problem = fold_problem(rows[first], train_labels(labels[first]))
         svm_train(rows[first], labels[first], problem=problem)
         with pytest.raises(ValueError, match="problem was built from other"):
             svm_train(rows[second], labels[second], problem=problem)
