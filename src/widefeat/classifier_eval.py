@@ -3,7 +3,8 @@
 For each fold rotation the classifier is fit on the train rows only; the
 kernel and C are picked by the evaluation rows; the test rows contribute
 nothing to any choice and are scored only when test metrics are requested.
-A fold standardizes its eval rows once and scores every fit on them by confusion counts.
+A fold standardizes its eval rows once and scores its fits on them by confusion counts,
+in grid order until one scores ``METRIC_MAX``: no later fit can beat it, yet every fit runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .dataset import FoldPlan, fold_roles
 from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
                      real_setting, require_int, store)
-from .metrics import METRIC_NAMES, MetricReport, compute_metrics, confusion_metrics
+from .metrics import METRIC_MAX, METRIC_NAMES, MetricReport, compute_metrics, confusion_metrics
 from .svm import (KERNEL_KINDS, KernelSpec, SvmModel, _decision, fold_problem, svm_predict,
                   svm_train, train_labels)
 
@@ -106,8 +107,11 @@ def _fit_fold(fold: int, setup: tuple, rows, config: EvalConfig,
     metric wins.  ``rows(idx)`` gives the model inputs of the records ``idx``.
     Once per fold: the shared :class:`~widefeat.svm.FoldProblem`, the eval rows
     standardized by its mean and std, and each kernel's spec, Gram and curvature
-    table.  Per fit: the SMO solve (or a smaller C's box-free one), the decision
-    values on those rows and the confusion counts."""
+    table.  Per fit: the SMO solve (or a smaller C's box-free one), then, until a
+    fit of the fold scores ``METRIC_MAX``, the decision values on those rows and
+    the confusion counts.  No later fit can score higher, and a winner is only
+    replaced by a strictly higher score, so skipping the rest keeps the same
+    winner; every fit still runs, so any fit's :class:`TrainingError` fails the fold."""
     train_idx, eval_idx, train, actual = setup  # from fold_setups
     best = (-np.inf, None, None)  # (score, model, report)
     try:
@@ -120,6 +124,8 @@ def _fit_fold(fold: int, setup: tuple, rows, config: EvalConfig,
             for c in config.c_grid:
                 model = svm_train(x_train, train.values, kernel=spec, c=c,
                                   class_weights=config.class_weight_mode, problem=problem)
+                if best[0] >= METRIC_MAX:
+                    continue
                 report = confusion_metrics(_decision(model, xs_eval) >= 0.0, actual)
                 score = report.value(config.metric)
                 if score > best[0]:

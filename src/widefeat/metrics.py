@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "f_score")
+METRIC_MAX = 1.0  # every metric lies in [0, METRIC_MAX]; f_score too, as fl(2ps) <= fl(p + s)
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,35 @@ def smo_reference(gram, y, box, tol=1e-3, tau=1e-12, max_iter=1_000_000):
     return None
 
 
+def fit_fold_reference(fold, setup, rows, config, specs, feature_ids):
+    """``classifier_eval._fit_fold`` as it was before a fold stopped scoring at a perfect
+    fit: every fit of the grid is scored on the eval rows, and the first strict maximum
+    of the metric wins.  Only the loop is under test, so this one shares the package's
+    fit and scoring; it calls them through the module, so spies set there see its calls."""
+    from widefeat import classifier_eval as ce
+
+    train_idx, eval_idx, train, actual = setup
+    best = (-np.inf, None, None)  # (score, model, report)
+    try:
+        if train is None:
+            raise ce.TrainingError("need exactly two classes in training rows")
+        x_train = rows(train_idx)
+        problem = ce.fold_problem(x_train, train)
+        xs_eval = (rows(eval_idx) - problem.mean) / problem.std
+        for spec in (s.resolve(problem.xs.shape[1]) for s in specs):
+            for c in config.c_grid:
+                model = ce.svm_train(x_train, train.values, kernel=spec, c=c,
+                                     class_weights=config.class_weight_mode, problem=problem)
+                report = ce.confusion_metrics(ce._decision(model, xs_eval) >= 0.0, actual)
+                score = report.value(config.metric)
+                if score > best[0]:
+                    best = (score, model, report)
+    except ce.TrainingError:
+        best = (None, None, None)
+    return ce.FoldOutcome(fold=fold, eval_report=best[2], test_report=None,
+                          feature_ids=feature_ids, model=best[1])
+
+
 def catalog_reference(x):
     """The statistical catalog one statistic at a time (each recomputes its
     own mean, moments and extremes), with numpy's own ``median`` and

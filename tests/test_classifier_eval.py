@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 import widefeat.classifier_eval as classifier_eval_module
 import widefeat.svm as svm_module
 from widefeat.classifier_eval import (EvalConfig, evaluate_feature_set, fit_pca, fold_setups,
                                       pca_baseline, score_test_rows)
 from widefeat.dataset import FoldPlan, SignalRecord, fold_roles, make_folds
-from widefeat.errors import ConfigError
-from widefeat.metrics import compute_metrics, confusion_metrics
+from widefeat.errors import ConfigError, TrainingError
+from widefeat.metrics import METRIC_NAMES, compute_metrics, confusion_metrics
 from widefeat.svm import svm_predict, svm_train
 
 
@@ -31,8 +32,49 @@ def planted_matrix(n=50, n_features=6, gap=6.0, seed=0, period=2):
     return values, labels
 
 
+def curved_matrix(n=300, seed=0, bend=0.3, margin=0.15):
+    """Two uniform columns, label 1 where x0 > bend * (x1**2 - 1), with every row more
+    than ``margin`` from that parabola: a linear fit gets nearly every row right, and
+    rbf or poly all of them."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-2.0, 2.0, (4 * n, 2))
+    side = values[:, 0] - bend * (values[:, 1] ** 2 - 1.0)
+    keep = np.flatnonzero(np.abs(side) > margin)[:n]
+    return values[keep], (side[keep] > 0).astype(int)
+
+
+def oracle_fixture(name):
+    """(values, labels, plan, ids) on which the first perfect eval report of each fold
+    comes at its first fit ("separable"), never ("noisy", whose classes overlap), or at
+    a later kernel after a 99-of-100 report ("curved")."""
+    if name == "curved":
+        values, labels = curved_matrix()
+        return values, labels, FoldPlan(p=3, assignments=np.arange(300) % 3), (0, 1)
+    if name == "separable":
+        (values, labels), plan_seed = planted_matrix(), 1
+    else:
+        (values, labels), plan_seed = planted_matrix(n=100, gap=0.5, seed=4), 4
+    return values, labels, make_folds(records_for(labels), p=5, seed=plan_seed), (0, 2, 4)
+
+
 def _model_fields(model):
     return {name: getattr(model, name) for name in model.__dataclass_fields__}
+
+
+def assert_same_outcomes(got, want):
+    """Equal failed flags and reports, and each kept model equal field by field, its
+    arrays bit for bit; ``FoldOutcome`` equality alone leaves the model out."""
+    assert got == want
+    assert [o.failed for o in got] == [o.failed for o in want]
+    for a, b in zip(got, want):
+        if b.failed:
+            continue
+        fields_a = _model_fields(a.model)
+        for name, value in _model_fields(b.model).items():
+            if isinstance(value, np.ndarray):
+                assert fields_a[name].tobytes() == value.tobytes(), name
+            else:
+                assert fields_a[name] == value, name
 
 
 def recording(fn, into):
@@ -68,11 +110,19 @@ class TestEvalConfig:
 class TestEvaluateFeatureSet:
     @pytest.mark.parametrize("positive", [None, 0])
     def test_every_grid_report_equals_public_prediction(self, monkeypatch, positive):
-        # each fold scores its 9 models on eval rows standardized once, from
-        # confusion counts; every report must equal the one that svm_predict
-        # and compute_metrics give for the same model and rows
-        models, reports = [], []
+        # each fold fits its 9 models and scores them in grid order, on eval rows
+        # standardized once and from confusion counts, up to and including the first
+        # report of 1.0 (all 9 when none is); every report must equal the one that
+        # svm_predict and compute_metrics give for the same model and rows
+        models, scored, reports = [], [], []
+        original = classifier_eval_module._decision
+
+        def decision(model, rows):
+            scored.append(model)
+            return original(model, rows)
+
         monkeypatch.setattr(classifier_eval_module, "svm_train", recording(svm_train, models))
+        monkeypatch.setattr(classifier_eval_module, "_decision", decision)
         monkeypatch.setattr(classifier_eval_module, "confusion_metrics",
                             recording(confusion_metrics, reports))
         values, labels = planted_matrix(n=60, gap=1.0, seed=5, period=3)
@@ -81,14 +131,29 @@ class TestEvaluateFeatureSet:
         ids = (0, 2, 4)
         outcomes = evaluate_feature_set(values, labels, ids, plan, config)
         grid = len(config.kernels) * len(config.c_grid)
-        assert len(models) == len(reports) == plan.p * grid == 45
-        for k, (model, report) in enumerate(zip(models, reports)):
-            eval_idx = fold_roles(plan, k // grid)[1]
-            predicted = svm_predict(model, values[np.ix_(eval_idx, ids)])
-            assert report == compute_metrics(predicted, labels[eval_idx], model.positive_label)
-        for o in outcomes:
-            assert o.eval_report in reports[o.fold * grid:(o.fold + 1) * grid]
-        # fixture sanity: the models disagree, and some make mistakes
+        assert len(models) == plan.p * grid == 45  # every fit runs
+        assert len(scored) == len(reports)
+        report_of = {id(model): report for model, report in zip(scored, reports)}
+        want, per_fold = [], []
+        for fold in range(plan.p):
+            eval_idx = fold_roles(plan, fold)[1]
+            fold_reports = []
+            for model in models[fold * grid:(fold + 1) * grid]:
+                want.append(model)
+                report = report_of.get(id(model))
+                if report is None:
+                    break  # left unscored though the rule scores it: the check below fails
+                predicted = svm_predict(model, values[np.ix_(eval_idx, ids)])
+                assert report == compute_metrics(predicted, labels[eval_idx], model.positive_label)
+                fold_reports.append(report)
+                if report.accuracy == 1.0:
+                    break
+            assert outcomes[fold].eval_report in fold_reports
+            per_fold.append(len(fold_reports))
+        assert [id(m) for m in scored] == [id(m) for m in want]
+        # fixture sanity: some folds stop early and one scores all 9; the models
+        # disagree, and some make mistakes
+        assert min(per_fold) == 1 and max(per_fold) == grid
         assert len({(r.tp, r.tn, r.fp, r.fn) for r in reports}) > 3
         assert any(r.fp + r.fn for r in reports)
 
@@ -182,14 +247,7 @@ class TestEvaluateFeatureSet:
             own = evaluate_feature_set(values, labels, ids, plan, config)
             shared = evaluate_feature_set(values, labels, ids, plan, config, setups=setups)
             assert [o.failed for o in shared] == [True] + [False] * 4
-            assert own == shared  # fold, eval report and ids; the models are compared below
-            for a, b in zip(own[1:], shared[1:]):
-                got, want = _model_fields(b.model), _model_fields(a.model)
-                for name, value in want.items():
-                    if isinstance(value, np.ndarray):
-                        assert got[name].tobytes() == value.tobytes(), name
-                    else:
-                        assert got[name] == value, name
+            assert_same_outcomes(shared, own)
 
     def test_fold_whose_fit_hits_the_iteration_cap_marked_failed(self, monkeypatch):
         # any TrainingError fails the fold, not only a single-class one: here every
@@ -250,6 +308,75 @@ class TestEvaluateFeatureSet:
                 redo = evaluate_feature_set(garbled, labels, (0, 2), plan, config)
             assert redo[fold] == clean[fold]
             assert winners(redo)[fold] == winners(clean)[fold]
+
+
+class TestStopScoringAtPerfect:
+    """A fold stops scoring its fits once one scores 1.0 on the eval rows, yet still
+    makes every fit; its outcomes must equal, bit for bit, those of
+    ``oracles.fit_fold_reference``, which scores all of them."""
+
+    @staticmethod
+    def run(monkeypatch, fit_fold, evaluate):
+        """``evaluate()`` with ``fit_fold`` as the fold loop, plus its fits and reports."""
+        fits, reports = [], []
+        with monkeypatch.context() as m:
+            m.setattr(classifier_eval_module, "_fit_fold", fit_fold)
+            m.setattr(classifier_eval_module, "svm_train", recording(svm_train, fits))
+            m.setattr(classifier_eval_module, "confusion_metrics",
+                      recording(confusion_metrics, reports))
+            return evaluate(), fits, reports
+
+    def against_reference(self, monkeypatch, evaluate):
+        got, fits, reports = self.run(monkeypatch, classifier_eval_module._fit_fold, evaluate)
+        want, ref_fits, ref_reports = self.run(monkeypatch, oracles.fit_fold_reference, evaluate)
+        assert_same_outcomes(got, want)
+        assert len(fits) == len(ref_fits) == len(ref_reports)
+        return reports, ref_reports
+
+    @pytest.mark.parametrize("positive", [None, 0])
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    @pytest.mark.parametrize("name", ["separable", "noisy", "curved"])
+    def test_outcomes_equal_the_reference(self, monkeypatch, name, metric, positive):
+        values, labels, plan, ids = oracle_fixture(name)
+        config = EvalConfig(metric=metric, positive_class=positive)
+        grid = len(config.kernels) * len(config.c_grid)
+        reports, ref_reports = self.against_reference(
+            monkeypatch, lambda: evaluate_feature_set(values, labels, ids, plan, config))
+        assert len(ref_reports) == plan.p * grid
+        if metric != "accuracy":
+            return
+        # fixture sanity: where each fold first scores 1.0
+        firsts = [next((k for k, r in enumerate(ref_reports[f * grid:(f + 1) * grid])
+                        if r.accuracy == 1.0), None) for f in range(plan.p)]
+        if name == "separable":
+            assert firsts == [0] * plan.p and len(reports) == plan.p
+        elif name == "noisy":
+            assert firsts == [None] * plan.p and len(reports) == plan.p * grid == 45
+        else:
+            assert all(k >= len(config.c_grid) for k in firsts)  # not a linear fit
+            assert len(reports) == sum(firsts) + plan.p < len(ref_reports)
+            assert any(r.accuracy == 0.99 for r in reports)
+
+    def test_pca_baseline_equals_the_reference(self, monkeypatch):
+        values, labels, plan, _ = oracle_fixture("separable")
+        reports, ref_reports = self.against_reference(
+            monkeypatch, lambda: pca_baseline(values, labels, plan, 3, EvalConfig()))
+        assert len(ref_reports) == plan.p * 3 > len(reports)
+
+    def test_a_fit_after_the_perfect_one_still_fails_its_fold(self, monkeypatch):
+        values, labels, plan, ids = oracle_fixture("separable")
+        fits = []
+
+        def train(*args, **kwargs):
+            fits.append(1)
+            if len(fits) == 9:  # fold 0's last fit; its first scored 1.0
+                raise TrainingError("planted")
+            return svm_train(*args, **kwargs)
+
+        monkeypatch.setattr(classifier_eval_module, "svm_train", train)
+        outcomes = evaluate_feature_set(values, labels, ids, plan, EvalConfig())
+        assert [o.failed for o in outcomes] == [True] + [False] * 4
+        assert len(fits) == 45
 
 
 def pca_projection(values, plan, fold, n_components):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from widefeat.metrics import compute_metrics, confusion_metrics
+from widefeat.metrics import METRIC_MAX, METRIC_NAMES, compute_metrics, confusion_metrics
 
 
 def confusion_fixture():
@@ -95,3 +95,20 @@ class TestComputeMetrics:
             confusion_metrics(np.zeros(0, bool), np.zeros(0, bool))
         with pytest.raises(ValueError, match="equal-length"):
             confusion_metrics(np.zeros(2, bool), np.zeros(3, bool))
+
+    def test_every_metric_lies_in_zero_to_max_and_accuracy_max_only_when_no_errors(self):
+        # a fold stops scoring once a fit reaches METRIC_MAX, which is sound only if
+        # no report exceeds it; every confusion of up to 24 rows, f_score's rounding
+        # included, since fl(2ps) <= fl(p + s) for p and s in [0, 1]
+        for total in range(1, 25):
+            for tp in range(total + 1):
+                for tn in range(total + 1 - tp):
+                    for fp in range(total + 1 - tp - tn):
+                        fn = total - tp - tn - fp
+                        predicted = np.repeat([True, False, True, False], [tp, tn, fp, fn])
+                        actual = np.repeat([True, False, False, True], [tp, tn, fp, fn])
+                        report = confusion_metrics(predicted, actual)
+                        assert (report.tp, report.tn, report.fp, report.fn) == (tp, tn, fp, fn)
+                        for name in METRIC_NAMES:
+                            assert 0.0 <= report.value(name) <= METRIC_MAX, (name, report)
+                        assert (report.accuracy == METRIC_MAX) == (fp == fn == 0)

@@ -302,7 +302,8 @@ class TestTraceAndSets:
         # spies record the rows handed to every selection, fit and scoring, and
         # what each returned; each call's fold follows from the order the loop
         # makes the calls in.  A fold scores its models' eval rows through
-        # _decision, on rows it standardized once; test rows go through svm_predict
+        # _decision, on rows it standardized once, until one scores 1.0; test
+        # rows go through svm_predict
         calls = []
 
         def spy(owner, name):
@@ -321,6 +322,7 @@ class TestTraceAndSets:
                             (recommender_module, "evaluate_feature_set"),
                             (classifier_eval_module, "svm_train"),
                             (classifier_eval_module, "_decision"),
+                            (classifier_eval_module, "confusion_metrics"),
                             (classifier_eval_module, "svm_predict")):
             spy(owner, name)
         # tau above 1 runs every level, and c=3 refines the 3-feature Fe2
@@ -340,17 +342,26 @@ class TestTraceAndSets:
 
         # each evaluation fits every kernel and C per fold, in fold order, and
         # scores each model on that fold's eval rows, standardized by the mean
-        # and std of its train rows, right after its fit
+        # and std of its train rows, right after its fit, up to and including
+        # the fold's first report of 1.0 on the metric
         last_evaluation = max(i for i, (name, *_) in enumerate(calls)
                               if name == "evaluate_feature_set")
+        metric = rec.config.evaluation.metric
         test_predictions = []
-        for i, (name, args, _) in enumerate(calls):
+        for i, (name, args, result) in enumerate(calls):
             if name == "evaluate_feature_set":
                 ids, fits = args[2], 0
             elif name == "svm_train":
                 train_idx, eval_idx, _ = roles[fits // fits_per_fold]
                 np.testing.assert_array_equal(args[0], values[np.ix_(train_idx, ids)])
+                if fits % fits_per_fold == 0:
+                    decided = False
+                scored = i + 1 < len(calls) and calls[i + 1][0] == "_decision"
+                assert scored != decided
                 fits += 1
+            elif name == "confusion_metrics":
+                assert calls[i - 1][0] == "_decision"
+                decided = result.value(metric) == 1.0
             elif name == "_decision":
                 assert calls[i - 1][0] == "svm_train" and args[0] is calls[i - 1][2]
                 train = values[np.ix_(train_idx, ids)]
@@ -363,7 +374,8 @@ class TestTraceAndSets:
                 test_predictions.append(args[1])
         names = [name for name, *_ in calls]
         assert names.count("svm_train") == names.count("evaluate_feature_set") * p * fits_per_fold
-        assert names.count("_decision") == names.count("svm_train")
+        assert names.count("_decision") == names.count("confusion_metrics")
+        assert 0 < names.count("_decision") < names.count("svm_train")  # the rule is exercised
         assert rec.refined is not None and not rec.refined.skipped
         # a set's models take its columns in ascending id order
         expected = [values[np.ix_(roles[fold][2], sorted(fe.ids))]
