@@ -70,10 +70,6 @@ class FeatureDescriptor:
     def name(self) -> str:
         return PATH_SEP.join(self.lineage)
 
-    @property
-    def transform_root(self) -> str:
-        return self.lineage[0].split("/", 1)[0]
-
 
 def parse_lineage_path(path: str) -> tuple[str, ...]:
     """Split a rendered lineage path back into its stages, validating the root."""

@@ -148,7 +148,7 @@ def test_planted_feature_recovery_end_to_end():
                                  k_schedule=(5, 10, 15, 20), c=0,
                                  evaluation=FAST_EVAL)
         rec = recommend(records, config)
-        roots = {rec.matrix.descriptors[i].transform_root for i in rec.fe2.ids}
+        roots = {rec.matrix.descriptors[i].lineage[0].split("/", 1)[0] for i in rec.fe2.ids}
         assert "stft" in roots, f"Fe2 lineage roots {roots} lack a spectral feature"
         assert rec.fe2.mean_test_metric >= 0.95
 

@@ -89,7 +89,7 @@ class TestLevel0:
         pinned = next(w for w in WAVELET_BANK if w != voted)
         matrix = build_feature_matrix(records, ExtractionConfig(wavelet_bank=(pinned,)),
                                       max_level=0)
-        roots = {d.transform_root for d in matrix.descriptors}
+        roots = {d.lineage[0].split("/", 1)[0] for d in matrix.descriptors}
         assert roots == {"time", "stft", f"dwt({pinned})"}
 
     @pytest.mark.parametrize("n", [128, 256, 300])

@@ -87,8 +87,10 @@ class TestTraining:
             with pytest.raises(ValueError, match="class weight mode"):
                 svm_train(rows, labels, class_weights=mode)
 
-    def test_iteration_cap_raises(self, monkeypatch):
-        rows, labels = separable_blobs(gap=1.0, seed=5)
+    @pytest.mark.parametrize("n_per", [6, 20], ids=["list-loop", "array-loop"])
+    def test_iteration_cap_raises(self, monkeypatch, n_per):
+        rows, labels = separable_blobs(n_per=n_per, gap=1.0, seed=5)
+        assert (len(rows) <= svm._LIST_ROWS) == (n_per == 6)
         monkeypatch.setattr(svm, "_MAX_ITER", 1)
         with pytest.raises(TrainingError, match="KKT gap"):
             svm_train(rows, labels, kernel=KernelSpec(kind="rbf"), c=1.0)
@@ -146,17 +148,25 @@ def _with_constant(rows, labels):
 class TestStepMatchesReference:
     """``FoldProblem.fit`` and ``svm_train`` give the alphas, bias and update count of
     the solver as it stood before the curvature table, bit for bit
-    (``oracles.smo_reference``)."""
+    (``oracles.smo_reference``), on both sides of ``_LIST_ROWS``: the list loop up to it
+    and the array loop above it."""
+    DATA = {"n4": (np.array([[0.0, 1.0], [1.0, 0.3], [0.2, 0.2], [0.9, 1.1]]),
+                   np.array([0, 0, 1, 1])),
+            "n12": _overlapping(12, 25),
+            "n-list-rows": _overlapping(svm._LIST_ROWS, 26),
+            "n-list-rows+1": _overlapping(svm._LIST_ROWS + 1, 26),
+            "n40": _overlapping(40, 27),
+            "zero-variance-column-n20": _with_constant(*_overlapping(20, 28)),
+            "zero-variance-column": _with_constant(*_overlapping(40, 21)),
+            "tied-n25": _tied(10, 29),
+            "tied": _tied(60, 22),
+            "n300": _overlapping(300, 23)}
 
-    @pytest.mark.parametrize("data", [
-        (np.array([[0.0, 1.0], [1.0, 0.3], [0.2, 0.2], [0.9, 1.1]]), np.array([0, 0, 1, 1])),
-        _with_constant(*_overlapping(40, 21)),
-        _tied(60, 22),
-        _overlapping(300, 23)], ids=["n4", "zero-variance-column", "tied", "n300"])
+    @pytest.mark.parametrize("name", DATA)
     @pytest.mark.parametrize("mode", ["balanced", "none"])
     @pytest.mark.parametrize("kind", svm.KERNEL_KINDS)
-    def test_fits_equal_reference(self, kind, mode, data):
-        rows, labels = data
+    def test_fits_equal_reference(self, kind, mode, name):
+        rows, labels = self.DATA[name]
         problem = fold_problem(rows, train_labels(labels, mode))
         at_box = 0
         for c in (0.1, 1.0, 10.0):
@@ -179,6 +189,23 @@ class TestStepMatchesReference:
         assert at_box > 0  # some fit ends with alphas on the box
         with pytest.raises(ValueError, match="C must be positive"):
             problem.fit(KernelSpec(kind=kind), 0)
+
+    @pytest.mark.parametrize("n,loop", [(svm._LIST_ROWS, "_smo_list"),
+                                        (svm._LIST_ROWS + 1, "_smo")])
+    def test_row_count_picks_the_loop(self, monkeypatch, n, loop):
+        calls = []  # (solver, type of the Gram it read)
+        for name in ("_smo", "_smo_list"):
+            def spy(*args, name=name, solve=getattr(svm, name)):
+                calls.append((name, type(args[1])))
+                return solve(*args)
+
+            monkeypatch.setattr(svm, name, spy)
+        rows, labels = _overlapping(n, 26)
+        problem = fold_problem(rows, train_labels(labels))
+        for kind in svm.KERNEL_KINDS:
+            problem.fit(KernelSpec(kind=kind), 0.1)
+        gram = list if loop == "_smo_list" else np.ndarray
+        assert calls == [(loop, gram)] * 3
 
 
 class TestBoxFreeReuse:
@@ -220,16 +247,15 @@ class TestBoxFreeReuse:
                 assert got[1:] == other[1:], (kind, c)
 
     def test_only_box_free_solves_are_reused(self, monkeypatch):
-        solves = []  # (kind, c, alphas, reached the box) of every _smo call
+        solves = []  # (kind, c, alphas, reached the box) of every _smo and _smo_list call
         current = []
-        solve = svm._smo
+        for name in ("_smo", "_smo_list"):
+            def spy(*args, solve=getattr(svm, name)):
+                result = solve(*args)
+                solves.append((*current, result[0], result[3]))
+                return result
 
-        def spy(*args):
-            result = solve(*args)
-            solves.append((*current, result[0], result[3]))
-            return result
-
-        monkeypatch.setattr(svm, "_smo", spy)
+            monkeypatch.setattr(svm, name, spy)
         reused = at_box = 0
         for rows, labels in self.DATA.values():
             problem = fold_problem(rows, train_labels(labels))
@@ -257,19 +283,22 @@ class TestFoldProblem:
         KernelSpec(kind="poly", degree=2), KernelSpec(kind="poly", degree=3),
         KernelSpec(kind="poly", gamma=0.37, degree=3, coef0=0.5)])
     def test_gram_is_bit_identical_to_kernel_matrix(self, spec):
-        rows, labels = _overlapping(30, 3)
-        rows = np.column_stack([rows, np.full(rows.shape[0], 7.0)])  # a zero-variance column
-        problem = fold_problem(rows, train_labels(labels))
-        want = kernel_matrix(spec.resolve(rows.shape[1]), problem.xs, problem.xs)
-        resolved, got, table = problem._kernel(spec)
-        assert resolved == spec.resolve(rows.shape[1])
-        assert got.tobytes() == want.tobytes()
-        diag = want.diagonal()
-        for i in range(len(want)):  # the curvature passes the solver made per step before
-            row = np.maximum((diag + diag[i]) - want[i] * 2.0, svm._TAU)
-            assert table[i].tobytes() == row.tobytes(), i
-        again = problem._kernel(spec)  # asked again, the Gram and table are not rebuilt
-        assert again[1] is got and again[2] is table
+        for n in (12, 40):  # the list loop's problems keep lists of rows, the array loop's arrays
+            rows, labels = _overlapping(n, 3)
+            rows = np.column_stack([rows, np.full(n, 7.0)])  # a zero-variance column
+            problem = fold_problem(rows, train_labels(labels))
+            want = kernel_matrix(spec.resolve(rows.shape[1]), problem.xs, problem.xs)
+            resolved, got, table = problem._kernel(spec)
+            assert resolved == spec.resolve(rows.shape[1])
+            kept = list if n <= svm._LIST_ROWS else np.ndarray
+            assert type(got) is kept and type(table) is kept
+            assert np.asarray(got).tobytes() == want.tobytes()
+            diag = want.diagonal()
+            for i in range(n):  # the curvature passes the solver made per step before
+                row = np.maximum((diag + diag[i]) - want[i] * 2.0, svm._TAU)
+                assert np.asarray(table[i]).tobytes() == row.tobytes(), i
+            again = problem._kernel(spec)  # asked again, the Gram and table are not rebuilt
+            assert again[1] is got and again[2] is table
 
     def test_problem_holds_at_most_three_square_arrays(self, monkeypatch):
         rows, labels = _overlapping(40, 7)
