@@ -17,8 +17,8 @@ from .dataset import FoldPlan, fold_roles
 from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
                      real_setting, require_int, store)
 from .metrics import METRIC_MAX, METRIC_NAMES, MetricReport, compute_metrics, confusion_metrics
-from .svm import (KERNEL_KINDS, KernelSpec, SvmModel, _decision, fold_problem, svm_predict,
-                  svm_train, train_labels)
+from .svm import (KERNEL_KINDS, KernelSpec, SvmModel, _column_scale, _decision, _same,
+                  fold_problem, svm_predict, svm_train, train_labels)
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,30 @@ class FoldOutcome:
         return self.model is None
 
 
-def fold_setups(labels, plan: FoldPlan, config: EvalConfig) -> list[tuple]:
+@dataclass(frozen=True, eq=False)
+class _FoldSetups:
+    labels: np.ndarray
+    plan: FoldPlan
+    config: EvalConfig
+    folds: list[tuple]  # per fold: train and eval indices, label set-up, eval positive mask
+
+
+def fold_setups(labels, plan: FoldPlan, config: EvalConfig) -> _FoldSetups:
     """What each fold's evaluations share whatever their columns, from the plan, labels
     and config alone: the train and eval indices, the train rows' label set-up (None
-    when they hold one class, so that every evaluation fails) and the eval positive mask."""
+    when they hold one class, so that every evaluation fails) and the eval positive mask.
+    It keeps the labels, plan and config too, which :func:`evaluate_feature_set` checks."""
     labels = np.asarray(labels)
-    setups = []
+    folds = []
     for fold in range(plan.p):
         train_idx, eval_idx, _ = fold_roles(plan, fold)
         try:
             train = train_labels(labels[train_idx], config.class_weight_mode, config.positive_class)
         except TrainingError:
             train = None
-        setups.append((train_idx, eval_idx, train,
-                       None if train is None else labels[eval_idx] == train.positive_label))
-    return setups
+        folds.append((train_idx, eval_idx, train,
+                      None if train is None else labels[eval_idx] == train.positive_label))
+    return _FoldSetups(labels=labels, plan=plan, config=config, folds=folds)
 
 
 def _fit_fold(fold: int, setup: tuple, rows, config: EvalConfig,
@@ -145,7 +154,7 @@ def _with_test_report(outcome: FoldOutcome, test_rows, test_labels) -> FoldOutco
 
 
 def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: EvalConfig, *,
-                         setups: list[tuple] | None = None) -> list[FoldOutcome]:
+                         setups: _FoldSetups | None = None) -> list[FoldOutcome]:
     """Train and score an SVM on the given feature columns for every fold.
 
     The columns are fit in ascending id order, so the outcomes do not depend
@@ -157,6 +166,7 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: Ev
     non-finite value, or a fit is short of the KKT gap after ``svm._MAX_ITER`` updates.
     ``setups``, from :func:`fold_setups` on the same labels, plan and config, lets
     a run's feature sets share each fold's label set-up; without it the call builds its own.
+    Set-ups built from other labels, another plan or another config raise ``ValueError``.
     """
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     labels = np.asarray(labels)
@@ -167,10 +177,15 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: Ev
         raise ValueError(f"feature ids {feature_ids} repeat a column")
     if any(not 0 <= i < values.shape[1] for i in feature_ids):
         raise ValueError(f"feature ids {feature_ids} outside matrix columns")
-    setups = fold_setups(labels, plan, config) if setups is None else setups
+    if setups is None:
+        setups = fold_setups(labels, plan, config)
+    elif not (_same(labels, setups.labels) and plan.p == setups.plan.p
+              and _same(plan.assignments, setups.plan.assignments)
+              and (config is setups.config or config == setups.config)):
+        raise ValueError("setups were built from other labels, plan or config than this call")
     return [_fit_fold(fold, setup, lambda idx: values[np.ix_(idx, feature_ids)],
                       config, config.kernel_specs(), feature_ids)
-            for fold, setup in enumerate(setups)]
+            for fold, setup in enumerate(setups.folds)]
 
 
 def score_test_rows(outcomes, matrix, labels, plan: FoldPlan) -> list[FoldOutcome]:
@@ -185,22 +200,21 @@ def score_test_rows(outcomes, matrix, labels, plan: FoldPlan) -> list[FoldOutcom
     return scored
 
 
-def fit_pca(train_std: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+def fit_pca(train_std: np.ndarray, n_components: int) -> np.ndarray:
     """Principal directions of a standardized matrix via SVD.
 
-    Returns (components, singular_values) with components of shape
-    (n_components, n_features); each component's largest-magnitude loading is
-    made positive so signs are reproducible.
+    Returns the components, of shape (n_components, n_features); each component's
+    largest-magnitude loading is made positive so signs are reproducible.
     """
     if n_components > min(train_std.shape):
         raise ValueError(
             f"n_components={n_components} exceeds min(rows, columns)={min(train_std.shape)}")
-    _, singular, vt = np.linalg.svd(train_std, full_matrices=False)
+    _, _, vt = np.linalg.svd(train_std, full_matrices=False)
     components = vt[:n_components]
     for row in components:
         if row[int(np.argmax(np.abs(row)))] < 0:
             row *= -1.0
-    return components, singular[:n_components]
+    return components
 
 
 def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
@@ -220,12 +234,10 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
     all_ids = tuple(range(values.shape[1]))
 
     outcomes = []
-    for fold, setup in enumerate(fold_setups(labels, plan, config)):
+    for fold, setup in enumerate(fold_setups(labels, plan, config).folds):
         train_idx, _, test_idx = fold_roles(plan, fold)
-        mean = values[train_idx].mean(axis=0)
-        std = values[train_idx].std(axis=0)
-        std = np.where(std > 0.0, std, 1.0)
-        components, _ = fit_pca((values[train_idx] - mean) / std, n_components)
+        mean, std = _column_scale(values[train_idx])
+        components = fit_pca((values[train_idx] - mean) / std, n_components)
 
         def project(idx):
             return ((values[idx] - mean) / std) @ components.T

@@ -12,10 +12,10 @@ penalize minority errors harder.
 The solver's label set-up depends only on the training labels (:class:`TrainLabels`, once
 per fold); the checks, the standardization and the linear Gram ``Xs Xsᵀ`` on the rows
 too: a :class:`FoldProblem` holds them once per fold and feature set for the whole
-kernel/C grid, and its :meth:`FoldProblem.fit` builds only a fit's box, alphas and
-gradient.  The rbf and poly Grams are derived from the linear one with :func:`kernel_matrix`'s
-expressions, bit for bit.  Beside each kernel's Gram it keeps the table of WSS2's pair
-curvatures, which depend on the kernel alone: its C values share it, and a step reads one row.
+kernel/C grid, and a :meth:`FoldProblem.fit` builds only its box and its solve's state.
+The rbf and poly Grams derive from the linear one by :func:`kernel_matrix`'s expressions,
+bit for bit.  One cache entry, for the last kernel fit, holds its Gram, its last box-free
+solve and the table of WSS2's pair curvatures, which depend on the kernel alone.
 
 A solve in which no alpha ever reaches its box answers every larger C of its kernel.
 The box enters SMO only through the box-side rooms of a step, the clip to the box and
@@ -27,10 +27,9 @@ A problem of at most ``_LIST_ROWS`` = 32 training rows solves with :func:`_smo_l
 which runs the same steps on Python lists and floats; larger ones with :func:`_smo`, on
 numpy arrays.  Both make the same float operations in the same order and break ties to
 the first row, so they make the same fits bit for bit.  At a few dozen rows numpy's cost
-per call outweighs its speed per row.  On the default 3x3 grid, 40 fresh problems per
-row count with 5 columns, separable and noisy (2-core Xeon, Python 3.11, numpy 2.4), the
-list loop took 0.45-0.50 of the array loop's time at 8-12 rows, 0.70 at 28, 0.74-0.77
-at 32, 0.86-0.91 at 36-40 and 1.01 at 48: the threshold sits where it still clearly wins.
+per call outweighs its speed per row: on the default 3x3 grid over 5 columns (2-core Xeon,
+Python 3.11, numpy 2.4) the list loop took 0.45-0.50 of the array loop's time at 8-12
+rows, 0.74-0.77 at 32 and 1.01 at 48, so the threshold sits where it still clearly wins.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class SvmModel:
     feature_std: np.ndarray
     negative_label: int
     positive_label: int
-    iterations: int  # SMO pair updates the fit took
 
     @property
     def n_features(self) -> int:
@@ -121,14 +119,10 @@ class TrainLabels:
     positive_label: int
     y: np.ndarray  # +/-1
     unit_box: np.ndarray  # per-row class weight; a fit's box is C * unit_box
-    # the solvers' label set-up: unit_box, y and y > 0 as lists, and which rows can move
-    # up and down at the start, as _smo's additive masks and as _smo_list's flags
+    # unit_box, y and y > 0 as lists for the solvers, which build their start state from y
     unit_box_list: list[float]
     signs: list[float]
-    is_pos: list[bool]  # also _smo_list's initial up flags
-    is_neg: list[bool]  # and its initial low flags
-    up: np.ndarray
-    low: np.ndarray
+    is_pos: list[bool]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +131,9 @@ class FoldProblem:
 
     Build it with :func:`fold_problem`, and solve its dual with :meth:`fit`.  ``linear``
     is the Gram ``xs @ xs.T`` of the standardized rows; the rbf and poly Grams derive from it.
-    A problem of at most ``_LIST_ROWS`` rows keeps each kernel's Gram and curvature table
-    as lists of rows, and its fits solve on lists (module docstring).
+    ``_last`` holds one kernel's cache entry (:meth:`_kernel`); a fit of another kernel
+    replaces its Gram, table and box-free solve together.  A problem of at most
+    ``_LIST_ROWS`` rows solves on lists (module docstring).
     """
     rows: np.ndarray  # the training rows, as floats
     labels: TrainLabels
@@ -147,8 +142,7 @@ class FoldProblem:
     xs: np.ndarray  # standardized rows
     linear: np.ndarray
     sq_norms: np.ndarray
-    _last: list = field(default_factory=list, init=False, repr=False)  # [spec, Gram, table]
-    _free: list = field(default_factory=list, init=False, repr=False)  # box-free solve
+    _last: list = field(default_factory=list, init=False, repr=False)
 
     def fit(self, spec: KernelSpec, c: float) -> tuple[np.ndarray, float, int]:
         """Solve the dual for kernel ``spec`` and box ``c * unit_box``; return the
@@ -159,29 +153,28 @@ class FoldProblem:
         when the KKT gap is still open after ``_MAX_ITER`` pair updates."""
         if c <= 0:
             raise ValueError(f"C must be positive, got {c}")
-        spec, gram, table = self._kernel(spec)
-        if self._free and self._free[0] == spec and c >= self._free[1]:
-            return self._free[2]
+        _, gram, table, free = entry = self._kernel(spec)
+        if free is not None and c >= free[0]:
+            return free[1]
         solve = _smo_list if self._small else _smo
         box = [c * w for w in self.labels.unit_box_list]
         alphas, bias, iterations, at_box = solve(self, gram, table, box)
         if not at_box:
             alphas.flags.writeable = False
-            self._free[:] = [spec, c, (alphas, bias, iterations)]
+            entry[3] = (c, (alphas, bias, iterations))
         return alphas, bias, iterations
 
     def _kernel(self, spec: KernelSpec) -> list:
-        """``[spec resolved, K, T]``: ``spec``'s Gram ``K`` over the standardized rows, bit
-        for bit what ``kernel_matrix(spec, xs, xs)`` gives, and its curvature table
-        ``T[i, t] = max((d_i + d_t) - K[i, t] * 2, _TAU)`` for the diagonal ``d`` of ``K``:
-        the curvature of an SMO step on pair (i, t), floored for kernels that are not
-        positive definite.  Beside the linear Gram only the last kernel's Gram and table
-        are kept, at most three n x n arrays; a table's build makes one n x n temporary.
-        A problem of at most ``_LIST_ROWS`` rows keeps ``K`` and ``T`` as lists of rows,
-        which :func:`_smo_list` reads."""
+        """``spec``'s cache entry ``[spec resolved, K, T, free]``.  ``K`` is its Gram over the
+        standardized rows, bit for bit ``kernel_matrix(spec, xs, xs)``.  ``T[i, t] = max((d_i
+        + d_t) - K[i, t] * 2, _TAU)``, for the diagonal ``d`` of ``K``, is an SMO step's curvature
+        on pair (i, t), floored for kernels that are not positive definite.  ``free`` is ``(c,
+        solve)`` of the kernel's last box-free solve, or None.  Beside the linear Gram this keeps
+        at most two n x n arrays, and a table's build makes one temporary; a problem of at most
+        ``_LIST_ROWS`` rows keeps ``K`` and ``T`` as lists of rows, for :func:`_smo_list`."""
         spec = spec.resolve(self.xs.shape[1])
         if not self._last or self._last[0] != spec:
-            self._last.clear()  # the last kernel's arrays go before the next one's are built
+            self._last.clear()  # the last kernel's entry goes before the next one's is built
             gram = (self.linear if spec.kind == "linear"
                     else _dot_kernel(spec, self.linear, self.sq_norms, self.sq_norms))
             table = np.add.outer(gram.diagonal(), gram.diagonal())
@@ -189,17 +182,13 @@ class FoldProblem:
             np.maximum(table, _TAU, out=table)
             if self._small:
                 gram, table = gram.tolist(), table.tolist()
-            self._last[:] = [spec, gram, table]
+            self._last[:] = [spec, gram, table, None]
         return self._last
 
     @property
     def _small(self) -> bool:
         """Whether fits solve with :func:`_smo_list` rather than :func:`_smo`."""
         return self.xs.shape[0] <= _LIST_ROWS
-
-    def built_from(self, rows: np.ndarray, labels: np.ndarray) -> bool:
-        return ((rows is self.rows or np.array_equal(rows, self.rows))
-                and (labels is self.labels.values or np.array_equal(labels, self.labels.values)))
 
 
 def _class_weights(classes: np.ndarray, counts: np.ndarray, mode: str) -> dict[int, float]:
@@ -232,8 +221,13 @@ def train_labels(labels, class_weights: str = "balanced",
         values=labels, class_weight_mode=class_weights, class_weights=weights,
         negative_label=negative_label, positive_label=positive_label, y=y,
         unit_box=unit_box, unit_box_list=unit_box.tolist(), signs=y.tolist(),
-        is_pos=is_pos.tolist(), is_neg=(~is_pos).tolist(),
-        up=np.where(is_pos, 0.0, -np.inf), low=np.where(is_pos, -np.inf, 0.0))
+        is_pos=is_pos.tolist())
+
+
+def _column_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and stds of ``x``, a zero std read as 1: such a column standardizes to 0."""
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    return mean, np.where(std > 0.0, std, 1.0)
 
 
 def fold_problem(rows, labels: TrainLabels) -> FoldProblem:
@@ -245,12 +239,15 @@ def fold_problem(rows, labels: TrainLabels) -> FoldProblem:
         raise ValueError("rows must be 2-D with one label per row")
     if not np.isfinite(x).all():
         raise TrainingError("training rows hold NaN or Inf")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
+    mean, std = _column_scale(x)
     xs = (x - mean) / std
     return FoldProblem(rows=x, labels=labels, mean=mean, std=std, xs=xs,
                        linear=xs @ xs.T, sq_norms=_sq_norms(xs))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` holds ``b``'s values; identity first, so a shared array costs nothing."""
+    return a is b or np.array_equal(a, b)
 
 
 def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
@@ -258,21 +255,24 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
               problem: FoldProblem | None = None) -> SvmModel:
     """Fit a binary SVM on ``rows`` (records x features).
 
-    ``problem``, from :func:`fold_problem` on the same rows, labels and
-    settings, lets a kernel/C grid share the checks, the standardization and
-    the linear Gram; without it the fit builds its own.  :meth:`FoldProblem.fit`
-    solves the dual to a KKT gap below ``_TOL`` = 1e-3.  Raises :class:`TrainingError`
-    when a row is not finite, when only one class is present, or when the gap is
-    still open after ``_MAX_ITER`` pair updates, and ``ValueError`` when ``c`` is not
-    positive or ``problem`` was built from other rows, labels or settings.
+    ``problem``, from :func:`fold_problem` on the same rows, labels and settings, lets a
+    kernel/C grid share the checks, the standardization and the linear Gram; without it
+    the fit builds its own.  With a ``problem``, ``positive_label=None`` takes the
+    problem's positive label, whichever it is (``tests/test_svm.py``'s
+    ``test_shared_problem_fits_equal_plain_fits``).  :meth:`FoldProblem.fit` solves the
+    dual to a KKT gap below ``_TOL`` = 1e-3.  Raises :class:`TrainingError` when a row is
+    not finite, when only one class is present, or when the gap is still open after
+    ``_MAX_ITER`` pair updates, and ``ValueError`` when ``c`` is not positive or
+    ``problem`` was built from other rows, labels, class weights or positive label.
     """
     if problem is None:
         problem = fold_problem(rows, train_labels(labels, class_weights, positive_label))
-    elif not (problem.built_from(np.asarray(rows, dtype=float), np.asarray(labels))
+    elif not (_same(np.asarray(rows, dtype=float), problem.rows)
+              and _same(np.asarray(labels), problem.labels.values)
               and class_weights == problem.labels.class_weight_mode
               and positive_label in (None, problem.labels.positive_label)):
         raise ValueError("problem was built from other rows, labels or settings than this fit")
-    alphas, bias, iterations = problem.fit(kernel, c)
+    alphas, bias, _ = problem.fit(kernel, c)
     keep = alphas > 1e-10
     train = problem.labels
     return SvmModel(
@@ -280,8 +280,7 @@ def svm_train(rows, labels, kernel: KernelSpec = KernelSpec(), c: float = 1.0,
         support_vectors=problem.xs[keep], alphas=alphas[keep], sv_labels=train.y[keep],
         sv_box=c * train.unit_box[keep], bias=bias,
         feature_mean=problem.mean, feature_std=problem.std,
-        negative_label=train.negative_label, positive_label=train.positive_label,
-        iterations=iterations)
+        negative_label=train.negative_label, positive_label=train.positive_label)
 
 
 def _smo(problem: FoldProblem, gram: np.ndarray, table: np.ndarray,
@@ -296,7 +295,7 @@ def _smo(problem: FoldProblem, gram: np.ndarray, table: np.ndarray,
     yg = y.copy()  # -y * gradient of the dual objective; the gradient starts at -1
     # additive masks, 0 where a row can move that way and -inf where it cannot:
     # i comes from the rows whose y * alpha can go up, j from those where it can go down
-    up, low = problem.labels.up.copy(), problem.labels.low.copy()
+    up, low = np.where(y > 0.0, 0.0, -np.inf), np.where(y > 0.0, -np.inf, 0.0)
     score, row = np.empty(y.size), np.empty(y.size)
     for iterations in range(_MAX_ITER):
         np.add(yg, up, out=score)
@@ -343,12 +342,12 @@ def _smo_list(problem: FoldProblem, gram: list[list[float]], table: list[list[fl
     keeps the first row of equal ones as ``argmax`` does, so it returns the same alphas,
     bias, update count and box flag.  A step makes two passes over the rows: the j-scan,
     and one that updates the gradient and scans for the next step's i and top."""
-    pos, neg, sign_of = problem.labels.is_pos, problem.labels.is_neg, problem.labels.signs
+    pos, sign_of = problem.labels.is_pos, problem.labels.signs
     rows = range(len(pos))
     alphas = [0.0] * len(pos)
     at_box = False
     yg = list(sign_of)
-    up, low = list(pos), list(neg)  # flags, where _smo keeps 0 / -inf masks
+    up, low = list(pos), [not p for p in pos]  # flags, where _smo keeps 0 / -inf masks
     # yg starts at y: i is the first positive row, and min(yg) over low is -1
     i, yg_i, low_min = pos.index(True), 1.0, -1.0
     for iterations in range(_MAX_ITER):

@@ -444,7 +444,7 @@ class TestEvaluationOncePerSet:
         assert len(setups_seen) > 7  # fixture sanity: refinement alone scores 7 subsets
         assert len(built) == rec.plan.p
         assert all(s is setups_seen[0] for s in setups_seen)
-        for fold, (train_idx, eval_idx, *_) in enumerate(setups_seen[0]):
+        for fold, (train_idx, eval_idx, *_) in enumerate(setups_seen[0].folds):
             want_train, want_eval, _ = fold_roles(rec.plan, fold)
             assert np.array_equal(train_idx, want_train)
             assert np.array_equal(eval_idx, want_eval)
