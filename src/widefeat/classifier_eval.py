@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dataset import FoldPlan, fold_roles
-from .errors import (ConfigError, TrainingError, flat_dict, is_int, known_keys, list_setting,
-                     real_setting, require_int, store)
+from .errors import (ConfigError, TrainingError, _feature_table, flat_dict, is_int, known_keys,
+                     list_setting, real_setting, require_int, store)
 from .metrics import METRIC_MAX, METRIC_NAMES, MetricReport, compute_metrics, confusion_metrics
 from .svm import (KERNEL_KINDS, KernelSpec, SvmModel, _column_scale, _decision, _same,
                   fold_problem, svm_predict, svm_train, train_labels)
@@ -166,10 +166,15 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: Ev
     non-finite value, or a fit is short of the KKT gap after ``svm._MAX_ITER`` updates.
     ``setups``, from :func:`fold_setups` on the same labels, plan and config, lets
     a run's feature sets share each fold's label set-up; without it the call builds its own.
-    Set-ups built from other labels, another plan or another config raise ``ValueError``.
+    Set-ups built from other labels, another plan or another config raise ``ValueError``,
+    as do ``matrix`` values that are not records x features and labels or fold
+    assignments that are not one per record, before any fold is fit.
     """
-    values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+    values = _feature_table(matrix)
     labels = np.asarray(labels)
+    if labels.shape != (len(values),) or plan.assignments.shape != (len(values),):
+        raise ValueError(f"{len(values)} records need one label and one fold assignment "
+                         f"each, got {labels.size} and {plan.assignments.size}")
     feature_ids = tuple(sorted(int(i) for i in feature_ids))
     if not feature_ids:
         raise ValueError("feature ids must not be empty")
@@ -190,7 +195,7 @@ def evaluate_feature_set(matrix, labels, feature_ids, plan: FoldPlan, config: Ev
 
 def score_test_rows(outcomes, matrix, labels, plan: FoldPlan) -> list[FoldOutcome]:
     """Return ``outcomes`` with each fold's test rows scored by its kept model."""
-    values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+    values = _feature_table(matrix)
     labels = np.asarray(labels)
     scored = []
     for outcome in outcomes:
@@ -225,7 +230,7 @@ def pca_baseline(matrix, labels, plan: FoldPlan, n_components: int,
     on the evaluation rows so the comparison against selected-feature runs is
     fair.  Each fold's test rows are scored once its model is chosen.
     """
-    values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+    values = _feature_table(matrix)
     labels = np.asarray(labels)
     if kernel not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel {kernel!r}")

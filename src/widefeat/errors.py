@@ -1,11 +1,14 @@
-"""Exception types shared across the package, the checks of config settings, and the
-JSON format of every artifact: ``json_value`` encodes, ``write_json`` writes."""
+"""Exception types shared across the package, the checks of config settings and of
+feature tables, and the JSON format of every artifact: ``json_value`` encodes,
+``write_json`` writes."""
 
 import json
 import numbers
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +121,15 @@ def real_setting(value, name: str) -> float:
     if not (is_real(value) and abs(value) <= sys.float_info.max):  # False for NaN
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _feature_table(values) -> np.ndarray:
+    """``values`` (or a FeatureMatrix's) as a float records x features array; ``ValueError``
+    for any other shape."""
+    table = np.asarray(getattr(values, "values", values), dtype=float)
+    if table.ndim != 2:
+        raise ValueError(f"values must be a records x features matrix, got shape {table.shape}")
+    return table
 
 
 def list_setting(value, name: str) -> tuple:

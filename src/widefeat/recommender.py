@@ -2,18 +2,18 @@
 
 The loop walks feature-bank levels bottom-up.  At each level both selectors
 run once per fold, on that fold's train+eval rows, up to the largest k in the
-schedule; MRMS reads a per-fold dependency memo kept for the whole run, so a
+schedule; MRMS reads a per-fold dependency memo kept until the loop ends, so a
 level computes only the single and (pick, column) dependencies that no lower
 level asked for.  Each k in the schedule then takes the first k picks of
 those runs (a greedy selector updates its sums only after a pick, so the
 prefix equals a run stopped at k); their union forms a candidate set, and
-candidates are scored on evaluation rows across all folds; each distinct id
-set is evaluated once per run, however many steps or refinement subsets
-propose it, and each fold's label set-up is built once for them all.  The
-first candidate meeting the target metric in every fold stops the loop, so
-cheap features win whenever they suffice.  Test rows stay
-untouched until Fe1 and Fe2 are frozen; their test metrics then come from the
-fold models kept by the evaluation pass, with no refit.
+candidates are scored on evaluation rows across all folds.  Each distinct
+candidate id set is evaluated once per run and keeps its fold outcomes, which
+refinement reads for a subset that is such a set; of any other subset it keeps
+only the metrics.  Each fold's label set-up is built once for them all.  The first
+candidate meeting the target metric in every fold stops the loop, so cheap features
+win whenever they suffice.  Test rows stay untouched until Fe1 and Fe2 are frozen;
+their test metrics then come from the fold models kept by the evaluation pass, with no refit.
 """
 
 from __future__ import annotations
@@ -142,9 +142,7 @@ class RecommendedSet:
     mean_test_metric: float | None = None
 
     def to_dict(self, descriptors) -> dict:
-        # mean_test_metric stays in the output even when it is None
-        return {**flat_dict(self), "mean_test_metric": self.mean_test_metric,
-                "names": [descriptors[i].name for i in self.ids],
+        return {**flat_dict(self), "names": [descriptors[i].name for i in self.ids],
                 "lineages": [list(descriptors[i].lineage) for i in self.ids]}
 
 
@@ -218,46 +216,23 @@ def exhaustive_refine(evaluate, base_set, c: int, metric: str) -> RefinementResu
                             evaluations=evaluations)
 
 
-def recommend(records, config: RecommendConfig) -> Recommendation:
-    """Run the full selection loop and return the recommended feature sets.
-
-    Fe1 is the candidate scoring the single best evaluation metric in any
-    fold; Fe2 maximizes the minimum metric across folds (ties: higher mean,
-    smaller k, lower level, earlier discovery).  Test metrics are attached
-    once, at the very end, for Fe1 and Fe2 only, from the fold models their
-    evaluation kept.
-    """
-    records = list(records)
-    labels = binary_labels(records, config.evaluation.positive_class)
-    plan = make_folds(records, config.p, config.seed)
-    matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
-
+def _escalate(matrix: FeatureMatrix, labels, plan: FoldPlan, config: RecommendConfig,
+              outcomes: dict, evaluate) -> list[TraceStep]:
+    """Run the level loop and return its trace, ending in a "stop" step if a candidate met
+    the target in every fold.  Each candidate's ``evaluate(ids)`` is stored in ``outcomes``
+    under its ids ascending.  The per-fold MRMS memos live as long as the loop."""
     # selection sees each fold's train+eval rows only
     fold_rows = [np.flatnonzero(plan.assignments != fold) for fold in range(plan.p)]
     # one fuzzy-dependency memo per fold over all columns, shared by MRMS at every level
     memos = [_CrossClassGaps(matrix.values[rows], labels[rows]) for rows in fold_rows]
-
-    outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # per id set, ids ascending
-    setups = fold_setups(labels, plan, config.evaluation)
-
-    def evaluate(ids) -> list[FoldOutcome]:
-        key = tuple(sorted(ids))
-        if key not in outcomes:
-            outcomes[key] = evaluate_feature_set(matrix, labels, key, plan, config.evaluation,
-                                                 setups=setups)
-        return outcomes[key]
-
     trace: list[TraceStep] = []
-    target_met = False
-    level_reached = config.max_level_cap
     for level in range(config.max_level_cap + 1):
         n_cols = matrix.columns_up_to_level(level)
         level_values = matrix.values[:, :n_cols]
         k_top = min(max(config.k_schedule), n_cols)
         top = []
         for rows, memo in zip(fold_rows, memos):
-            sub = level_values[rows]
-            sub_labels = labels[rows]
+            sub, sub_labels = level_values[rows], labels[rows]
             top.append((mrmr_select(sub, sub_labels, k_top, config.selector.mrmr_objective),
                         mrms_select(sub, sub_labels, k_top, config.selector.mrms_beta,
                                     memo=memo)))
@@ -272,21 +247,43 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
             for sel in selections:
                 by_set.setdefault(tuple(sorted(sel.union)), CandidateEval(
                     ids=sel.union, source_folds=[])).source_folds.append(sel.fold)
-            candidates = list(by_set.values())
-            for cand in candidates:
-                cand.eval_metrics = _eval_metrics(evaluate(cand.ids), config.metric)
+            for key, cand in by_set.items():
+                outcomes[key] = evaluate(key)
+                cand.eval_metrics = _eval_metrics(outcomes[key], config.metric)
                 cand.passed = all(v is not None and v >= config.tau for v in cand.eval_metrics)
 
-            step = TraceStep(level=level, k=k, selections=selections, candidates=candidates)
+            step = TraceStep(level=level, k=k, selections=selections,
+                             candidates=list(by_set.values()))
             trace.append(step)
-            if any(c.passed for c in candidates):
+            if any(c.passed for c in step.candidates):
                 step.decision = "stop"
-                target_met = True
-                level_reached = level
-                break
-        if target_met:
-            break
+                return trace
+    return trace
 
+
+def recommend(records, config: RecommendConfig) -> Recommendation:
+    """Run the full selection loop and return the recommended feature sets.
+
+    Fe1 is the candidate scoring the single best evaluation metric in any
+    fold; Fe2 maximizes the minimum metric across folds (ties: higher mean,
+    smaller k, lower level, earlier discovery).  Test metrics are attached
+    once, at the very end, for Fe1 and Fe2 only, from the fold models their
+    evaluation kept.  Only escalation's candidate sets keep their fold models.
+    """
+    records = list(records)
+    labels = binary_labels(records, config.evaluation.positive_class)
+    plan = make_folds(records, config.p, config.seed)
+    matrix = build_feature_matrix(records, config.extraction, max_level=config.max_level_cap)
+
+    outcomes: dict[tuple[int, ...], list[FoldOutcome]] = {}  # escalation's, ids ascending
+    setups = fold_setups(labels, plan, config.evaluation)
+
+    def evaluate(ids) -> list[FoldOutcome]:
+        key = tuple(sorted(ids))  # a set escalation did not propose is not kept
+        return outcomes[key] if key in outcomes else evaluate_feature_set(
+            matrix, labels, key, plan, config.evaluation, setups=setups)
+
+    trace = _escalate(matrix, labels, plan, config, outcomes, evaluate)
     scored = [(step, cand) for step in trace for cand in step.candidates
               if any(v is not None for v in cand.eval_metrics)]
     if not scored:
@@ -318,14 +315,14 @@ def recommend(records, config: RecommendConfig) -> Recommendation:
                 base_ids=fe2.ids, chosen_ids=fe2.ids, evaluations=[], skipped=True,
                 note=f"skipped: |Fe2|={len(fe2.ids)} exceeds c={config.c}")
 
-    for fe in (fe1, fe2):
+    for fe in (fe1, fe2):  # escalation sets, so their models are kept
         fe.test_reports = [o.test_report for o in score_test_rows(
             evaluate(fe.ids), matrix, labels, plan)]
-        vals = [r.value(config.metric) for r in fe.test_reports if r is not None]
-        fe.mean_test_metric = float(np.mean(vals)) if vals else None
+        fe.mean_test_metric = float(np.mean(
+            [r.value(config.metric) for r in fe.test_reports if r is not None]))
 
     return Recommendation(
-        fe1=fe1, fe2=fe2, level_reached=level_reached, target_met=target_met,
+        fe1=fe1, fe2=fe2, level_reached=trace[-1].level, target_met=trace[-1].decision == "stop",
         trace=trace, refined=refined, config=config, matrix=matrix, plan=plan)
 
 

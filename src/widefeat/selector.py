@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, block_dict, block_settings, real_setting, store
+from .errors import ConfigError, _feature_table, block_dict, block_settings, real_setting, store
 
 F_SENTINEL = 1e12
 _MIQ_EPS = 1e-12
@@ -159,9 +159,17 @@ def _greedy(method: str, k: int, relevance: np.ndarray, combine, gains) -> Selec
                            step_scores=tuple(steps))
 
 
+def _finite_table(values) -> np.ndarray:
+    """``values`` as a float records x features array; ValueError unless all are finite."""
+    values = _feature_table(values)
+    if not np.isfinite(values).all():
+        raise ValueError("values hold NaN or Inf; selection needs finite values")
+    return values
+
+
 def mrmr_select(values, labels, k: int, objective: str = "MID") -> SelectionResult:
-    """Greedy mRMR over the columns of ``values`` (records x features)."""
-    values = np.asarray(getattr(values, "values", values), dtype=float)
+    """Greedy mRMR over the columns of ``values`` (records x features, all finite)."""
+    values = _finite_table(values)
     n_features = values.shape[1]
     objective = objective.upper()
     if objective not in ("MID", "MIQ"):
@@ -214,6 +222,8 @@ class _CrossClassGaps:
 
     def __init__(self, values: np.ndarray, labels):
         self._labels = labels = np.asarray(labels)
+        if labels.shape != (len(values),):
+            raise ValueError(f"{len(values)} records but {labels.size} labels")
         classes = np.unique(labels)
         if classes.size > 2:
             raise ValueError(
@@ -306,11 +316,11 @@ def mrms_select(values, labels, k: int, beta: float = 0.5, *, memo=None) -> Sele
 
     J_rel(f) is the single-feature fuzzy dependency; J_sig(f | S) is the mean
     over chosen features s of the dependency gain of the pair {f, s} over {s}.
-    Labels must be binary.  All dependencies come from the class-0 rows x
-    class-1 rows blocks of the fuzzy relation, which are rebuilt from the
-    normalized columns after each pick, a slab of at most about
-    ``_BLOCK_BYTES`` (4 MB) at a time, with the gains of every available
-    feature in one pass.  Memory is O(n0 * n1) plus that slab, not one n x n
+    Labels must be binary, one per row, and values finite.  All dependencies
+    come from the class-0 rows x class-1 rows blocks of the fuzzy relation,
+    which are rebuilt from the normalized columns after each pick, a slab of
+    at most about ``_BLOCK_BYTES`` (4 MB) at a time, with the gains of every
+    available feature in one pass.  Memory is O(n0 * n1) plus that slab, not one n x n
     matrix per feature (at 800 records x 163 features, under 128 MB where
     those matrices alone take 835 MB).
 
@@ -318,7 +328,7 @@ def mrms_select(values, labels, k: int, beta: float = 0.5, *, memo=None) -> Sele
     ``values`` its leading columns, else ValueError) keeps the normalization and
     each dependency across calls: a call computes only those it lacks, same bits.
     """
-    values = np.asarray(getattr(values, "values", values), dtype=float)
+    values = _finite_table(values)
     n_features = values.shape[1]
     if not 1 <= k <= n_features:
         raise ValueError(f"k={k} out of range for {n_features} features")

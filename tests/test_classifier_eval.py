@@ -303,6 +303,41 @@ class TestEvaluateFeatureSet:
         with pytest.raises(ValueError, match=message):
             evaluate_feature_set(values, labels, ids, plan, EvalConfig())
 
+    @pytest.mark.parametrize("case, message", [
+        ("1-D values", "records x features"),
+        ("fewer labels", "one label and one fold assignment"),
+        ("more labels", "one label and one fold assignment"),
+        ("fewer assignments", "one label and one fold assignment")])
+    def test_malformed_inputs_rejected_before_any_fold(self, monkeypatch, case, message):
+        values, labels = planted_matrix()
+        plan = make_folds(records_for(labels), p=5, seed=0)
+        if case == "1-D values":
+            values = values[:, 2]
+        elif case == "fewer labels":
+            labels = labels[:-1]
+        elif case == "more labels":
+            labels = np.append(labels, 1)
+        else:
+            plan = FoldPlan(p=5, assignments=plan.assignments[:-1])
+        fitted = []
+        monkeypatch.setattr(classifier_eval_module, "_fit_fold",
+                            recording(classifier_eval_module._fit_fold, fitted))
+        with pytest.raises(ValueError, match=message):
+            evaluate_feature_set(values, labels, (0,), plan, EvalConfig())
+        assert fitted == []
+
+    def test_non_finite_train_rows_fail_their_folds(self):
+        values, labels = planted_matrix()
+        plan = make_folds(records_for(labels), p=5, seed=0)
+        row = plan.fold_indices(0)[0]
+        values[row, 2] = np.nan
+        with np.errstate(all="ignore"):  # the folds that score the row do so on NaN
+            outcomes = evaluate_feature_set(values, labels, (0, 2), plan,
+                                            EvalConfig(kernels=("linear",), c_grid=(1.0,)))
+        trains_on_it = [row in fold_roles(plan, fold)[0] for fold in range(plan.p)]
+        assert 0 < sum(trains_on_it) < plan.p  # fixture sanity: some folds do, some do not
+        assert [o.failed for o in outcomes] == trains_on_it
+
     def test_outcome_does_not_depend_on_id_order(self):
         values, labels = planted_matrix(gap=1.5, seed=5)
         plan = make_folds(records_for(labels), p=5, seed=4)

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +425,34 @@ class TestEvaluationOncePerSet:
         assert sorted(evaluated) == sorted({tuple(sorted(ids)) for ids in proposed + subsets})
         grid = len(FAST_EVAL.kernels) * len(FAST_EVAL.c_grid)
         assert len(fits) == config.p * grid * len(evaluated)
+
+    def test_only_escalation_sets_keep_fold_models(self, monkeypatch):
+        made, alive_at_test = [], []  # (ids, weakref) per fold model; ids alive at scoring
+
+        def tracked_evaluate(matrix, labels, ids, *args, **kwargs):
+            outcomes = evaluate_feature_set(matrix, labels, ids, *args, **kwargs)
+            made.extend((tuple(sorted(ids)), weakref.ref(o.model))
+                        for o in outcomes if not o.failed)
+            return outcomes
+
+        def counted_score(*args, **kwargs):
+            if not alive_at_test:
+                gc.collect()
+                alive_at_test.append([ids for ids, model in made if model() is not None])
+            return score_test_rows(*args, **kwargs)
+
+        monkeypatch.setattr(recommender_module, "evaluate_feature_set", tracked_evaluate)
+        monkeypatch.setattr(recommender_module, "score_test_rows", counted_score)
+        # tau above 1 runs every level, and c=4 refines the 3-feature Fe2
+        config = fast_config(tau=1.01, k_schedule=(3, 4), c=4)
+        rec = recommend(sine_records(n_records=30, n=128, seed=3), config)
+        escalated = {tuple(sorted(c.ids)) for s in rec.trace for c in s.candidates}
+        refined_only = {tuple(e["ids"]) for e in rec.refined.evaluations} - escalated
+        # fixture sanity: refinement fits subsets that escalation never proposed
+        assert refined_only and any(ids in refined_only for ids, _ in made)
+        alive = alive_at_test[0]
+        assert set(alive) <= escalated
+        assert len(alive) <= config.p * len(escalated)
 
     def test_fold_label_setup_built_once_per_run(self, monkeypatch):
         built, setups_seen = [], []

@@ -255,6 +255,38 @@ def mrms_fixture(rng):
     return values, labels
 
 
+class TestMalformedInputs:
+    """Inputs a selector cannot use raise ValueError before any selection runs."""
+
+    @staticmethod
+    def fixture():
+        labels = np.array([0, 1] * 10)
+        values = np.random.default_rng(5).standard_normal((20, 4))
+        values[:, 1] += labels
+        return values, labels
+
+    @pytest.mark.parametrize("select", [mrmr_select, mrms_select])
+    def test_one_dimensional_values_rejected(self, select):
+        values, labels = self.fixture()
+        with pytest.raises(ValueError, match="records x features"):
+            select(values[:, 1], labels, 1)
+
+    @pytest.mark.parametrize("select", [mrmr_select, mrms_select])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, select, bad):
+        values, labels = self.fixture()
+        values[3, 2] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            select(values, labels, 1)
+
+    @pytest.mark.parametrize("select", [
+        mrmr_select, mrms_select, lambda values, labels, k: fuzzy_dependency(values, labels)])
+    def test_fewer_labels_than_rows_rejected(self, select):
+        values, labels = self.fixture()
+        with pytest.raises(ValueError, match="20 records but 19 labels"):
+            select(values, labels[:19], 1)
+
+
 class TestMrmsBlocks:
     def test_bitwise_equal_to_loop_form(self):
         rng = np.random.default_rng(12)
